@@ -2,6 +2,7 @@
 
 use nck_appgen::spec::{AppSpec, Origin, RequestSpec};
 use nck_netlibs::library::Library;
+use std::path::Path;
 
 fn temp_path(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("nck-cli-{name}-{}", std::process::id()))
@@ -364,4 +365,306 @@ fn jobs_flag_accepts_a_worker_count_and_rejects_zero() {
         .expect("cli runs");
     std::fs::remove_file(&path).ok();
     assert_eq!(zero.status.code(), Some(2), "--jobs 0 is a usage error");
+}
+
+/// The binary's flag table, compiled in so the tests below iterate over
+/// the rows themselves.
+#[allow(dead_code)]
+#[path = "../src/bin/nchecker/cli.rs"]
+mod flags;
+
+use std::process::{Command, Output, Stdio};
+
+fn nchecker(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_nchecker"))
+        .args(args)
+        .stdin(Stdio::null())
+        .output()
+        .expect("cli runs")
+}
+
+/// A fresh, empty directory.
+fn temp_dir(name: &str) -> std::path::PathBuf {
+    let dir = temp_path(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn path_str(p: &std::path::Path) -> &str {
+    p.to_str().expect("temp paths are UTF-8")
+}
+
+#[test]
+fn parse_bytes_takes_suffixes_and_rejects_overflow() {
+    assert_eq!(flags::parse_bytes("0"), Some(0));
+    assert_eq!(flags::parse_bytes("512"), Some(512));
+    assert_eq!(flags::parse_bytes("64k"), Some(64 << 10));
+    assert_eq!(flags::parse_bytes("64K"), Some(64 << 10));
+    assert_eq!(flags::parse_bytes("3m"), Some(3 << 20));
+    assert_eq!(flags::parse_bytes("3M"), Some(3 << 20));
+    assert_eq!(flags::parse_bytes("2g"), Some(2 << 30));
+    assert_eq!(flags::parse_bytes("2G"), Some(2 << 30));
+    assert_eq!(
+        flags::parse_bytes("17179869183G"),
+        Some(u64::MAX - (1 << 30) + 1)
+    );
+    // 16 EiB does not fit in a u64.
+    assert_eq!(flags::parse_bytes("17179869184G"), None);
+    assert_eq!(flags::parse_bytes("18446744073709551616"), None);
+    for bad in ["", "K", "G", "1T", "1.5G", "-1", "1 G"] {
+        assert_eq!(flags::parse_bytes(bad), None, "{bad:?}");
+    }
+}
+
+#[test]
+fn an_overflowing_cache_budget_is_a_usage_error_and_deletes_nothing() {
+    let apps = make_apps("budget", 2);
+    let cache = temp_dir("budget-cache");
+    let mut warm = vec!["--quiet", "--cache-dir", path_str(&cache)];
+    warm.extend(apps.iter().map(|p| path_str(p)));
+    assert!(nchecker(&warm).status.success());
+    let entries = || std::fs::read_dir(&cache).unwrap().count();
+    let before = entries();
+    assert!(before > 0);
+
+    let gc = ["cache-gc", "--cache-dir", path_str(&cache)];
+    let out = nchecker(&[&gc[..], &["--cache-budget", "17179869184G"]].concat());
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(entries(), before, "a rejected budget must not GC anything");
+    let mut one_shot = warm.clone();
+    one_shot.extend(["--cache-budget", "17179869184G"]);
+    assert_eq!(nchecker(&one_shot).status.code(), Some(2));
+    assert_eq!(entries(), before);
+
+    for p in &apps {
+        std::fs::remove_file(p).ok();
+    }
+    let _ = std::fs::remove_dir_all(&cache);
+}
+
+#[test]
+fn value_tokens_are_not_read_as_flags() {
+    let apps = make_apps("valuetok", 1);
+    let dir = temp_dir("valuetok");
+    // `--summary` is the value of `--delta-out`, not a switch.
+    let out = Command::new(env!("CARGO_BIN_EXE_nchecker"))
+        .args(["--no-cache", "--delta-out", "--summary"])
+        .arg(&apps[0])
+        .current_dir(&dir)
+        .output()
+        .expect("cli runs");
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.starts_with("=== com.test.valuetok0"),
+        "full report expected, not summary mode:\n{stdout}"
+    );
+    assert!(
+        dir.join("--summary").is_file(),
+        "delta file named --summary"
+    );
+
+    std::fs::remove_file(&apps[0]).ok();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs the binary with `args` as a Unix-socket daemon, then shuts it
+/// down over the socket.
+fn serve_on_socket(args: &[&str], socket: &std::path::Path) -> std::process::ExitStatus {
+    use std::io::{BufRead, Write};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_nchecker"))
+        .args(args)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("daemon starts");
+    let mut stream = None;
+    for _ in 0..500 {
+        if let Ok(s) = std::os::unix::net::UnixStream::connect(socket) {
+            stream = Some(s);
+            break;
+        }
+        if let Some(status) = child.try_wait().unwrap() {
+            return status;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let mut stream = stream.expect("daemon listens on its socket");
+    stream.write_all(b"{\"verb\":\"shutdown\"}\n").unwrap();
+    let mut reply = String::new();
+    std::io::BufReader::new(&stream)
+        .read_line(&mut reply)
+        .unwrap();
+    assert!(reply.contains("\"ok\":true"), "{reply}");
+    child.wait().unwrap()
+}
+
+/// Every row of the flag table parses in every mode that claims it and
+/// is a usage error (exit 2) in every mode that does not.
+#[test]
+fn every_flag_parses_exactly_in_the_modes_that_claim_it() {
+    let dir = temp_dir("matrix");
+    let apps = dir.join("apps");
+    std::fs::create_dir_all(&apps).unwrap();
+    let spec = AppSpec::new(
+        "com.test.matrix",
+        vec![RequestSpec::new(Library::OkHttp, Origin::UserClick)],
+    );
+    let app = apps.join("app.apk");
+    nck_appgen::generate(&spec).save(&app).unwrap();
+    let gc_cache = dir.join("gc-cache");
+
+    for flag in flags::FLAGS {
+        for name in flag.names {
+            let value = match flag.kind {
+                flags::Kind::Switch(_) | flags::Kind::Level(_) => None,
+                flags::Kind::Count(_) => Some("2".to_owned()),
+                flags::Kind::Bytes(_) => Some("1M".to_owned()),
+                flags::Kind::Path(..) => Some(match *name {
+                    "--corpus-dir" | "--watch" => path_str(&apps).to_owned(),
+                    _ => path_str(&dir.join(name.trim_start_matches('-'))).to_owned(),
+                }),
+            };
+            let mut row: Vec<&str> = vec![name];
+            row.extend(value.as_deref());
+            for &(word, bit, _) in &flags::MODES {
+                let mut args: Vec<&str> = match bit {
+                    flags::ONE => vec![],
+                    flags::SERVE if *name == "--socket" => vec!["serve"],
+                    flags::SERVE => vec!["serve", "--stdio"],
+                    flags::VET => vec!["vet", "--workers", "1", "--corpus-dir", path_str(&apps)],
+                    _ => vec![
+                        word,
+                        "--cache-dir",
+                        path_str(&gc_cache),
+                        "--cache-budget",
+                        "1M",
+                    ],
+                };
+                args.extend(&row);
+                if bit == flags::ONE {
+                    args.push(path_str(&app));
+                }
+                let accepted = flag.modes & bit != 0;
+                let code = if accepted && *name == "--socket" {
+                    serve_on_socket(&args, Path::new(value.as_deref().unwrap())).code()
+                } else {
+                    nchecker(&args).status.code()
+                };
+                let want = if accepted { 0 } else { 2 };
+                assert_eq!(code, Some(want), "nchecker {}", args.join(" "));
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_last_of_interproc_and_no_interproc_wins() {
+    let dir = temp_dir("interproc");
+    let spec = nck_appgen::interproc_suite::interproc_apps()
+        .into_iter()
+        .find(|s| s.package == "com.ip.guardbasic")
+        .expect("suite app");
+    let app = dir.join("guardbasic.apk");
+    nck_appgen::generate(&spec).save(&app).unwrap();
+    let app = path_str(&app);
+
+    for mode in [
+        &["--json", "--no-cache"][..],
+        &["vet", "--no-cache", "--quiet"],
+    ] {
+        let run = |flags: &[&str]| {
+            let out = nchecker(&[mode, flags, &[app]].concat());
+            assert!(out.status.success(), "{mode:?} {flags:?}");
+            out.stdout
+        };
+        let on = run(&[]);
+        let off = run(&["--no-interproc"]);
+        assert_ne!(on, off, "the suite app must tell the engines apart");
+        assert_eq!(run(&["--no-interproc", "--interproc"]), on, "{mode:?}");
+        assert_eq!(run(&["--interproc", "--no-interproc"]), off, "{mode:?}");
+        assert_eq!(
+            run(&["--no-interproc", "--strict", "--interproc"]),
+            run(&["--strict"])
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn vet_no_cache_prints_the_one_shot_bytes() {
+    let dir = temp_dir("vet-nocache");
+    let stream = nck_appgen::CorpusStream::new(11, 12);
+    let mut paths = Vec::new();
+    for i in 0..12 {
+        let shard = dir.join(format!("shard-{:02}", i % 3));
+        std::fs::create_dir_all(&shard).unwrap();
+        let path = shard.join(format!("app{i:06}.apk"));
+        nck_appgen::generate(&stream.spec_at(i))
+            .save(&path)
+            .unwrap();
+        paths.push(path_str(&path).to_owned());
+    }
+    paths.sort();
+    let mut one_shot = vec!["--json", "--no-cache"];
+    one_shot.extend(paths.iter().map(String::as_str));
+    let expected = nchecker(&one_shot);
+    assert!(expected.status.success());
+
+    let vet = nchecker(&[
+        "vet",
+        "--workers",
+        "2",
+        "--no-cache",
+        "--quiet",
+        "--corpus-dir",
+        path_str(&dir),
+    ]);
+    assert!(
+        vet.status.success(),
+        "{}",
+        String::from_utf8_lossy(&vet.stderr)
+    );
+    assert!(!expected.stdout.is_empty());
+    assert_eq!(
+        vet.stdout, expected.stdout,
+        "vet --no-cache diverged from one-shot"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn help_lists_every_flag_exactly_once() {
+    let out = nchecker(&["--help"]);
+    assert_eq!(out.status.code(), Some(2));
+    let help = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(help, flags::help());
+    let rows: Vec<&str> = help.lines().filter(|l| l.starts_with("  -")).collect();
+    assert_eq!(rows.len(), flags::FLAGS.len(), "{help}");
+    for flag in flags::FLAGS {
+        let label = format!("  {} ", flag.label(", "));
+        let n = rows.iter().filter(|l| l.starts_with(&label)).count();
+        assert_eq!(n, 1, "{label:?} in:\n{help}");
+        assert!(rows.iter().any(|l| l.ends_with(flag.help)));
+    }
+    // Each mode's synopsis lists exactly the rows that mode accepts.
+    let mut synopses: Vec<String> = Vec::new();
+    for line in help.split("\n\n").next().unwrap().lines() {
+        match synopses.last_mut() {
+            Some(last) if line.trim_start().starts_with('[') => last.push_str(line),
+            _ => synopses.push(line.to_owned()),
+        }
+    }
+    assert_eq!(synopses.len(), flags::MODES.len(), "{help}");
+    for (synopsis, &(word, bit, _)) in synopses.iter().zip(&flags::MODES) {
+        assert!(synopsis.contains(&format!("nchecker {word}")), "{synopsis}");
+        for flag in flags::FLAGS {
+            let item = format!("[{}]", flag.label("|"));
+            let listed = synopsis.contains(&item);
+            assert_eq!(listed, flag.modes & bit != 0, "{item} in {synopsis}");
+        }
+    }
 }

@@ -228,7 +228,13 @@ trap 'rm -rf "$smoke_dir" "$targeted_dir" "$tele_dir" "$daemon_dir" "$vet_dir"' 
     --cache-dir "$vet_dir/cache" --quiet > "$vet_dir/vet.json"
 cmp "$vet_dir/oneshot.json" "$vet_dir/vet.json" \
     || { echo "vet smoke: multi-process output differs from one-shot"; exit 1; }
-echo "vet smoke ok: 40 apps byte-identical across 2 worker processes"
+# vet forwards the shared checker and cache flags to its workers, so an
+# uncached vet prints the same bytes too.
+./target/release/nchecker vet --workers 2 --no-cache --corpus-dir "$vet_dir/corpus" \
+    > "$vet_dir/vet-nocache.json"
+cmp "$vet_dir/oneshot.json" "$vet_dir/vet-nocache.json" \
+    || { echo "vet smoke: --no-cache output differs from one-shot"; exit 1; }
+echo "vet smoke ok: 40 apps byte-identical across 2 worker processes, cached and uncached"
 ./target/release/genapp corpus --seed 7 --count 40 --shards 8 --version 1 \
     "$vet_dir/corpus"
 # Keep the summary on stderr this time: the clean path must spawn the
