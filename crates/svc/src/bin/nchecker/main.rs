@@ -16,12 +16,13 @@
 mod cli;
 
 use cli::{Cli, Verbosity};
-use nchecker::CheckerConfig;
+use nchecker::{AppReport, CheckerConfig};
 use nck_obs::{Events, JsonObj, JsonlSink, Level, Metrics, Obs, PhaseTotals, Series, Tracer};
 use nck_svc::{
     daemon, doctor, AnalysisService, AnalysisStore, Daemon, DaemonOptions, OrchestratorOptions,
     ServiceOptions, Watcher,
 };
+use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -98,7 +99,13 @@ fn one_shot_main(cli: Cli) -> ExitCode {
     if let Some(sink) = &sink {
         events = events.with_sink(sink.clone());
     }
-    let options = service_options(&cli);
+    // This process exits after one batch, so a memory tier could never
+    // be read back: without one, a miss captures no replay seeds and
+    // the exit tears down no resident entries.
+    let options = ServiceOptions {
+        mem_budget: Some(0),
+        ..service_options(&cli)
+    };
     let config = options.config;
     // The exporters need spans and counters even when the stderr views
     // (--trace/--metrics) are off: recording is silent unless a flag
@@ -139,11 +146,23 @@ fn one_shot_main(cli: Cli) -> ExitCode {
     }
 
     let service = AnalysisService::new(options, obs);
-    let outcomes = service.analyze_batch(&items);
+    // Each app's stdout text is rendered on the pool thread that
+    // analyzed it; this thread only writes the texts out in input order.
+    let (outcomes, texts): (Vec<_>, Vec<_>) = service
+        .analyze_batch_map(&items, |i, outcome| {
+            let text = match &outcome.report {
+                Ok(report) => render_stdout(&cli, &items[i].0, report),
+                Err(_) => String::new(),
+            };
+            (outcome, text)
+        })
+        .into_iter()
+        .unzip();
     let cache_stats = AnalysisService::batch_stats(&outcomes);
 
     let mut degraded = 0usize;
-    for ((path, _), outcome) in items.iter().zip(&outcomes) {
+    let mut stdout = std::io::BufWriter::new(std::io::stdout().lock());
+    for (((path, _), outcome), text) in items.iter().zip(&outcomes).zip(&texts) {
         match &outcome.report {
             Ok(report) => {
                 events.info(&format!(
@@ -164,31 +183,8 @@ fn one_shot_main(cli: Cli) -> ExitCode {
                         ));
                     }
                 }
-                if cli.doctor {
-                    // The snapshot is the only stdout content.
-                } else if cli.json {
-                    println!(
-                        "{}",
-                        serde_json::to_string_pretty(&nchecker::app_report_to_json(report))
-                            .expect("report serializes")
-                    );
-                } else if cli.summary {
-                    println!(
-                        "{path}: {} ({} requests, {} defects{})",
-                        report.stats.package,
-                        report.stats.requests,
-                        report.defects.len(),
-                        if report.degraded() { ", degraded" } else { "" }
-                    );
-                } else {
-                    println!(
-                        "=== {} ({} defects) ===",
-                        report.stats.package,
-                        report.defects.len()
-                    );
-                    for d in &report.defects {
-                        println!("{}", d.render());
-                    }
+                if stdout.write_all(text.as_bytes()).is_err() {
+                    return ExitCode::from(EXIT_FAILED);
                 }
                 // Observability output goes to stderr so stdout stays
                 // machine-parseable under --json. The stderr renderings
@@ -215,6 +211,10 @@ fn one_shot_main(cli: Cli) -> ExitCode {
             }
         }
     }
+    if stdout.flush().is_err() {
+        return ExitCode::from(EXIT_FAILED);
+    }
+    drop(stdout);
 
     // Corpus-level aggregation over the attached per-app telemetry.
     let mut merged = nck_obs::MetricsSnapshot::default();
@@ -334,6 +334,40 @@ fn one_shot_main(cli: Cli) -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
+}
+
+/// One analyzed app's stdout text in the chosen output mode: a JSON
+/// document, a summary line, or the full report. Empty under
+/// `--doctor`, whose snapshot is the only stdout content.
+fn render_stdout(cli: &Cli, path: &str, report: &AppReport) -> String {
+    if cli.doctor {
+        return String::new();
+    }
+    let mut text = if cli.json {
+        serde_json::to_string_pretty(&nchecker::app_report_to_json(report))
+            .expect("report serializes")
+    } else if cli.summary {
+        format!(
+            "{path}: {} ({} requests, {} defects{})",
+            report.stats.package,
+            report.stats.requests,
+            report.defects.len(),
+            if report.degraded() { ", degraded" } else { "" }
+        )
+    } else {
+        let mut text = format!(
+            "=== {} ({} defects) ===",
+            report.stats.package,
+            report.defects.len()
+        );
+        for d in &report.defects {
+            text.push('\n');
+            text.push_str(&d.render());
+        }
+        text
+    };
+    text.push('\n');
+    text
 }
 
 /// The `nchecker serve` entry point: builds the daemon, spawns the
@@ -459,7 +493,6 @@ fn vet_main(cli: Cli) -> ExitCode {
     // single-process `nchecker --json` run over these paths prints.
     if !cli.summary {
         let mut stdout = std::io::stdout().lock();
-        use std::io::Write;
         for report in outcome.reports.iter().flatten() {
             if stdout.write_all(report.as_bytes()).is_err() {
                 return ExitCode::from(EXIT_FAILED);
@@ -652,13 +685,11 @@ fn emit_jsonl(
             "failed",
             outcomes.iter().filter(|o| o.report.is_err()).count() as u64,
         )
-        .i64(
-            "cache_mem_entries",
-            merged
-                .gauges
-                .get("svc.cache.mem_entries")
-                .map_or(0, |g| g.value),
-        );
+        .i64("cache_mem_entries", gauge(merged, "svc.cache.mem_entries"))
+        .i64("cache_mem_bytes", gauge(merged, "svc.cache.mem_bytes"));
+    if let Some(kib) = peak_rss_kib() {
+        run = run.u64("peak_rss_kib", kib);
+    }
     if let (Some(p50), Some(p90), Some(p99)) = (
         latency.percentile(50.0),
         latency.percentile(90.0),
@@ -675,4 +706,16 @@ fn emit_jsonl(
 
 fn counter(snap: &nck_obs::MetricsSnapshot, name: &str) -> u64 {
     snap.counters.get(name).copied().unwrap_or(0)
+}
+
+fn gauge(snap: &nck_obs::MetricsSnapshot, name: &str) -> i64 {
+    snap.gauges.get(name).map_or(0, |g| g.value)
+}
+
+/// This process's peak resident set (`VmHWM`) in KiB, or `None` where
+/// `/proc` is absent.
+fn peak_rss_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().trim_end_matches("kB").trim().parse().ok()
 }

@@ -43,6 +43,18 @@ pub struct AppOutcome {
     pub rendered: Option<Arc<RenderCell>>,
 }
 
+impl AppOutcome {
+    /// The outcome of an app that failed to analyze.
+    fn failed(e: AnalyzeError) -> AppOutcome {
+        AppOutcome {
+            report: Err(e),
+            reuse: ReuseStats::default(),
+            delta: None,
+            rendered: None,
+        }
+    }
+}
+
 /// Aggregate cache accounting for a batch.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BatchCacheStats {
@@ -103,7 +115,13 @@ pub struct ServiceOptions {
     /// Disable the cache entirely (lookups and writes).
     pub no_cache: bool,
     /// Memory-tier byte budget override
-    /// (`None` = [`crate::store::DEFAULT_MEM_BYTES`]).
+    /// (`None` = [`crate::store::DEFAULT_MEM_BYTES`]). `Some(0)` means
+    /// *no memory tier*: a miss runs the plain uncached pipeline
+    /// ([`NChecker::analyze_bytes_checked`]) with no replay seeds
+    /// captured, a clean miss is written to the disk tier only
+    /// (report-only, when `cache_dir` is set), and a disk hit is served
+    /// without promotion. That is the right shape for a process that
+    /// exits after one batch and could never read the tier back.
     pub mem_budget: Option<usize>,
     /// Disk-tier byte budget: when set, every batch ends with a
     /// watermark-gated [`AnalysisStore::maybe_gc_disk`] — a skipped
@@ -165,25 +183,40 @@ impl AnalysisService {
     /// input order. Panicking apps (contained) report
     /// [`AnalyzeError::Panic`].
     pub fn analyze_batch(&self, items: &[(String, Vec<u8>)]) -> Vec<AppOutcome> {
-        let outcomes = run_pool(
+        self.analyze_batch_map(items, |_, outcome| outcome)
+    }
+
+    /// [`AnalysisService::analyze_batch`] with `map` applied to each
+    /// app's outcome on the pool thread that analyzed it, so per-app
+    /// post-processing (rendering a report, say) runs in parallel too.
+    /// `map` receives the item's index; results keep input order. A job
+    /// whose worker died is mapped on the calling thread, with an
+    /// [`AnalyzeError::Panic`] outcome.
+    pub fn analyze_batch_map<T: Send>(
+        &self,
+        items: &[(String, Vec<u8>)],
+        map: impl Fn(usize, AppOutcome) -> T + Sync,
+    ) -> Vec<T> {
+        let slots = run_pool(
             items.len(),
             self.jobs,
             || self.make_checker(),
             |checker, i| {
                 let (key, bytes) = &items[i];
-                self.analyze_with_checker(checker, key, bytes)
+                map(i, self.analyze_with_checker(checker, key, bytes))
             },
         );
-        let outcomes: Vec<AppOutcome> = outcomes
+        let outcomes: Vec<T> = slots
             .into_iter()
-            .map(|slot| {
-                slot.unwrap_or_else(|| AppOutcome {
-                    report: Err(AnalyzeError::Panic(
-                        "worker died before writing a result".to_owned(),
-                    )),
-                    reuse: ReuseStats::default(),
-                    delta: None,
-                    rendered: None,
+            .enumerate()
+            .map(|(i, slot)| {
+                slot.unwrap_or_else(|| {
+                    map(
+                        i,
+                        AppOutcome::failed(AnalyzeError::Panic(
+                            "worker died before writing a result".to_owned(),
+                        )),
+                    )
                 })
             })
             .collect();
@@ -249,17 +282,20 @@ impl AnalysisService {
                     // The disk tier holds exactly this: fingerprints and
                     // report, no replay seeds. The promoted entry serves
                     // rung 1 (whole-report reuse) from memory; a changed
-                    // bundle recomputes cold either way.
-                    self.store.promote(
-                        key,
-                        AppCacheEntry {
-                            bundle_fp,
-                            config_fp: self.config_fp,
-                            report: report.clone(),
-                            ..AppCacheEntry::default()
-                        },
-                        &svc_obs,
-                    );
+                    // bundle recomputes cold either way. Without a memory
+                    // tier there is nowhere to promote to.
+                    if self.store.has_memory() {
+                        self.store.promote(
+                            key,
+                            AppCacheEntry {
+                                bundle_fp,
+                                config_fp: self.config_fp,
+                                report: report.clone(),
+                                ..AppCacheEntry::default()
+                            },
+                            &svc_obs,
+                        );
+                    }
                     let reuse = ReuseStats {
                         whole_report: true,
                         ..ReuseStats::default()
@@ -276,17 +312,38 @@ impl AnalysisService {
             }
         }
 
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            checker.analyze_bytes_reusing_fp(bytes, bundle_fp, prev.as_deref())
-        }))
-        .unwrap_or_else(|payload| {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
-            Err(AnalyzeError::Panic(msg))
-        });
+        let result = if self.store.has_memory() {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                checker.analyze_bytes_reusing_fp(bytes, bundle_fp, prev.as_deref())
+            }))
+            .unwrap_or_else(|payload| {
+                let msg = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| (*s).to_owned())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".to_owned());
+                Err(AnalyzeError::Panic(msg))
+            })
+        } else {
+            // No memory tier: nothing to replay from and nowhere to keep
+            // replay seeds, so a miss is the plain uncached pipeline. A
+            // clean report still goes to the disk tier, report-only (the
+            // wire format drops the sealed trace and metrics).
+            checker.analyze_bytes_checked(bytes).map(|report| {
+                let degraded = report.degraded();
+                let entry = (self.store.has_disk() && !degraded).then(|| AppCacheEntry {
+                    bundle_fp,
+                    config_fp: self.config_fp,
+                    report: report.clone(),
+                    ..AppCacheEntry::default()
+                });
+                let reuse = ReuseStats {
+                    degraded,
+                    ..ReuseStats::default()
+                };
+                (report, entry, reuse)
+            })
+        };
 
         match result {
             Ok((report, entry, reuse)) => {
@@ -346,12 +403,7 @@ impl AnalysisService {
             }
             Err(e) => {
                 self.store.count_outcome(false, &svc_obs);
-                AppOutcome {
-                    report: Err(e),
-                    reuse: ReuseStats::default(),
-                    delta: None,
-                    rendered: None,
-                }
+                AppOutcome::failed(e)
             }
         }
     }

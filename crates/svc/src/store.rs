@@ -7,7 +7,10 @@
 //!   *both* an entry-count cap and an approximate byte budget (one batch
 //!   of huge apps must not blow past a memory target that a thousand
 //!   small apps respect). Seeds embed interned symbol ids and shared
-//!   pointers, so this tier is process-local by construction.
+//!   pointers, so this tier is process-local by construction. A store
+//!   built with a byte budget of 0 has no memory tier at all: inserts
+//!   go to disk only and lookups find nothing — the shape for a
+//!   one-shot process, which exits before it could read the tier back.
 //! - **Disk** (optional, under `--cache-dir`) — the durable subset: the
 //!   bundle and config fingerprints plus the report in the faithful
 //!   [`crate::wire`] format. A disk hit serves an *identical* bundle
@@ -145,7 +148,10 @@ impl AnalysisStore {
     /// A store with explicit entry and byte caps on the memory tier.
     /// Eviction triggers when *either* cap is exceeded; a shard always
     /// retains at least its newest entry, so one entry larger than the
-    /// whole budget still caches (and evicts everything else).
+    /// whole budget still caches (and evicts everything else). A
+    /// `mem_budget` of 0 disables the memory tier: nothing is ever
+    /// resident, so [`AnalysisStore::insert`] writes the disk tier only
+    /// and [`AnalysisStore::promote`] is a no-op.
     pub fn with_budgets(
         capacity: usize,
         mem_budget: usize,
@@ -162,13 +168,18 @@ impl AnalysisStore {
                 .collect(),
             clock: AtomicU64::new(0),
             capacity: capacity.max(1),
-            mem_budget: mem_budget.max(1),
+            mem_budget,
             disk,
             metrics: Metrics::enabled(),
             atime_journal: Mutex::new(HashMap::new()),
             disk_bytes: AtomicU64::new(0),
             disk_seeded: Once::new(),
         }
+    }
+
+    /// Whether the memory tier exists (a nonzero byte budget).
+    pub fn has_memory(&self) -> bool {
+        self.mem_budget > 0
     }
 
     /// Whether a disk tier is configured.
@@ -346,6 +357,9 @@ impl AnalysisStore {
     }
 
     fn insert_memory(&self, key: &str, entry: AppCacheEntry, obs: &Obs) {
+        if !self.has_memory() {
+            return;
+        }
         let approx = entry.approx_bytes();
         let slot = MemEntry {
             tick: self.tick(),
@@ -1186,6 +1200,59 @@ mod tests {
             .snapshot()
             .counters
             .contains_key("svc.cache.gc_skipped"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_zero_byte_budget_keeps_no_memory_tier() {
+        let dir = tmpdir("nomem");
+        let store = AnalysisStore::with_budgets(usize::MAX, 0, Some(dir.clone()));
+        let obs = Obs::disabled();
+        assert!(!store.has_memory());
+        store.insert("app.n", entry(5, "app.n"), &obs);
+        store.promote("app.m", entry(6, "app.m"), &obs);
+        assert!(store.lookup("app.n", &obs).is_none());
+        assert!(store.lookup("app.m", &obs).is_none());
+        assert!(store.render_cell("app.n", 5).is_none());
+        assert_eq!((store.len(), store.mem_bytes()), (0, 0));
+        assert_eq!(store.mem_shard_sizes(), vec![0; SHARDS]);
+        // The disk tier still records the insert (and only the insert).
+        assert_eq!(store.disk_stats().entries, 1);
+        assert_eq!(
+            store
+                .lookup_disk("app.n", 5, 42, &obs)
+                .unwrap()
+                .stats
+                .package,
+            "app.n"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_over_nested_disk_entry_is_quarantined_not_a_stack_overflow() {
+        let dir = tmpdir("nested");
+        let store = AnalysisStore::with_options(8, Some(dir.clone()));
+        let obs = Obs::enabled();
+        store.insert("app.deep", entry(3, "app.deep"), &obs);
+        // A well-formed entry whose report is 50,000 arrays deep: a
+        // recursive parser without a depth limit overflows the stack on
+        // this and aborts the process before quarantine can act.
+        let path = disk_path(&dir, "app.deep", 42);
+        let n = 50_000;
+        let text = format!(
+            r#"{{"schema": {}, "bundle_fp": "3", "config_fp": "42", "report": {}{}}}"#,
+            crate::wire::WIRE_SCHEMA,
+            "[".repeat(n),
+            "]".repeat(n)
+        );
+        std::fs::write(&path, text).unwrap();
+        assert!(store.lookup_disk_any("app.deep", 42, &obs).is_none());
+        assert!(path.with_extension("quarantine").exists());
+        assert_eq!(
+            store.metrics().snapshot().counters["svc.cache.corrupt_evict"],
+            1
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

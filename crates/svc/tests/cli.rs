@@ -668,3 +668,163 @@ fn help_lists_every_flag_exactly_once() {
         }
     }
 }
+
+/// Writes version `version` of the first `n` apps of a seed-11 store
+/// stream under `dir`, returning the sorted paths.
+fn write_stream(dir: &std::path::Path, n: usize, version: u32) -> Vec<String> {
+    let stream = nck_appgen::CorpusStream::new(11, n);
+    let mut paths: Vec<String> = (0..n)
+        .map(|i| {
+            let path = nck_appgen::stream::sharded_path(dir, 3, i);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            nck_appgen::generate(&stream.version_at(i, version))
+                .save(&path)
+                .unwrap();
+            path_str(&path).to_owned()
+        })
+        .collect();
+    paths.sort();
+    paths
+}
+
+fn one_shot_ok(flags: &[&str], paths: &[String]) -> Output {
+    let mut args = flags.to_vec();
+    args.extend(paths.iter().map(String::as_str));
+    let out = nchecker(&args);
+    assert!(
+        out.status.success(),
+        "{flags:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out
+}
+
+#[test]
+fn one_shot_json_is_byte_identical_across_cache_modes() {
+    let dir = temp_dir("cache-modes");
+    let paths = write_stream(&dir.join("tree"), 16, 0);
+    let expected = one_shot_ok(&["--json", "--no-cache", "--jobs", "1"], &paths).stdout;
+    assert_eq!(
+        String::from_utf8_lossy(&expected).matches("\n}\n").count(),
+        16,
+        "one report per app"
+    );
+    for jobs in ["1", "2"] {
+        let cache = dir.join(format!("cache-{jobs}"));
+        let cache = path_str(&cache);
+        for (mode, flags) in [
+            ("default", vec!["--json", "--jobs", jobs]),
+            ("--no-cache", vec!["--json", "--no-cache", "--jobs", jobs]),
+            (
+                "cold --cache-dir",
+                vec!["--json", "--jobs", jobs, "--cache-dir", cache],
+            ),
+            (
+                "warm --cache-dir",
+                vec!["--json", "--jobs", jobs, "--cache-dir", cache],
+            ),
+        ] {
+            let out = one_shot_ok(&flags, &paths);
+            assert!(
+                out.stdout == expected,
+                "{mode} at --jobs {jobs} diverged from --no-cache"
+            );
+            if mode == "warm --cache-dir" {
+                let err = String::from_utf8_lossy(&out.stderr);
+                assert!(err.contains("cache: 16 hit(s), 0 miss(es)"), "{err}");
+            }
+        }
+        // One-shot keeps no memory tier: the batch leaves every clean
+        // app on disk and nothing resident.
+        let doctor = one_shot_ok(&["--doctor", "--jobs", jobs, "--cache-dir", cache], &paths);
+        let v: serde_json::Value =
+            serde_json::from_str(std::str::from_utf8(&doctor.stdout).unwrap()).unwrap();
+        assert_eq!(v["cache"]["mem"]["entries"], 0, "{v:?}");
+        assert_eq!(v["cache"]["mem"]["bytes"], 0, "{v:?}");
+        assert_eq!(v["cache"]["disk"]["entries"], 16, "{v:?}");
+        assert_eq!(v["cache"]["hit"], 16, "{v:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn one_shot_delta_out_diffs_against_stale_disk_entries() {
+    let dir = temp_dir("delta-out");
+    let tree = dir.join("tree");
+    let cache = dir.join("cache");
+    let deltas = dir.join("deltas.jsonl");
+    let n = 8;
+    let churned = [1usize, 4, 6];
+    let stream = nck_appgen::CorpusStream::new(11, n);
+    let paths = write_stream(&tree, n, 0);
+    one_shot_ok(&["--summary", "--cache-dir", path_str(&cache)], &paths);
+
+    // Version 1 of the churned apps, same paths; the rest stay put.
+    let mut expected = Vec::new();
+    let checker = nchecker::NChecker::new();
+    for &i in &churned {
+        let path = nck_appgen::stream::sharded_path(&tree, 3, i);
+        let old = std::fs::read(&path).unwrap();
+        let new = nck_appgen::generate(&stream.version_at(i, 1)).to_bytes();
+        std::fs::write(&path, &new).unwrap();
+        let delta = nck_svc::diff_reports(
+            path_str(&path),
+            nck_dex::wire::fnv1a(&old),
+            nck_dex::wire::fnv1a(&new),
+            &checker.analyze_bytes(&old).unwrap(),
+            &checker.analyze_bytes(&new).unwrap(),
+        );
+        expected.push(delta.to_json());
+    }
+    expected.sort_by_key(|d| d["key"].as_str().unwrap().to_owned());
+
+    let out = one_shot_ok(
+        &[
+            "--summary",
+            "--cache-dir",
+            path_str(&cache),
+            "--delta-out",
+            path_str(&deltas),
+        ],
+        &paths,
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("cache: 5 hit(s), 3 miss(es)"), "{stdout}");
+    let got: Vec<serde_json::Value> = std::fs::read_to_string(&deltas)
+        .unwrap()
+        .lines()
+        .map(|l| serde_json::from_str(l).expect("each delta line is JSON"))
+        .collect();
+    assert_eq!(
+        got, expected,
+        "one delta per churned app, none for the rest"
+    );
+    for d in &got {
+        assert_ne!(d["prev_fp"], d["new_fp"], "{d:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn log_json_run_record_reports_mem_tier_bytes_and_peak_rss() {
+    let dir = temp_dir("run-record");
+    let log = dir.join("log.jsonl");
+    let paths = write_stream(&dir.join("tree"), 2, 0);
+    one_shot_ok(
+        &["--summary", "--quiet", "--log-json", path_str(&log)],
+        &paths,
+    );
+    let text = std::fs::read_to_string(&log).unwrap();
+    let run: serde_json::Value = text
+        .lines()
+        .map(|l| serde_json::from_str(l).unwrap())
+        .find(|v| v["t"] == "run")
+        .expect("a run record");
+    assert_eq!(run["cache_mem_bytes"], 0, "one-shot keeps no memory tier");
+    if Path::new("/proc/self/status").exists() {
+        assert!(run["peak_rss_kib"].as_i64().unwrap() > 0, "{run:?}");
+    } else {
+        assert!(run.get("peak_rss_kib").is_none(), "{run:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -493,6 +493,45 @@ fn stdio_binary_round_trip_matches_one_shot_json() {
     std::fs::remove_file(&app).ok();
 }
 
+/// A short wire line nested far past the JSON parser's depth limit —
+/// 50,000 `[` bytes, well under the line cap — gets a typed
+/// `malformed` reply from the real binary, which keeps serving and
+/// exits 0 on shutdown instead of overflowing its stack.
+#[test]
+fn stdio_binary_survives_a_deeply_nested_line() {
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_nchecker"))
+        .arg("serve")
+        .arg("--stdio")
+        .arg("--quiet")
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("daemon starts");
+    let mut stdin = child.stdin.take().unwrap();
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut exchange = |line: &str| -> Value {
+        stdin.write_all(line.as_bytes()).unwrap();
+        stdin.write_all(b"\n").unwrap();
+        stdin.flush().unwrap();
+        let mut reply = String::new();
+        stdout.read_line(&mut reply).unwrap();
+        serde_json::from_str(&reply).expect("reply is JSON")
+    };
+
+    let deep = "[".repeat(50_000);
+    assert!(deep.len() < MAX_REQUEST_LINE);
+    let v = exchange(&deep);
+    assert_eq!(v["ok"], false, "{v:?}");
+    assert_eq!(error_code(&v), "malformed");
+    let v = exchange(r#"{"verb": "doctor"}"#);
+    assert_eq!(v["ok"], true, "the daemon keeps serving: {v:?}");
+    let v = exchange(r#"{"verb": "shutdown"}"#);
+    assert_eq!(v["ok"], true);
+    drop(stdin);
+    let status = child.wait().expect("daemon exits");
+    assert!(status.success(), "clean shutdown exits 0");
+}
+
 /// Retiring a key (the watch loop's response to a deleted bundle)
 /// drops its finished jobs, surfaces in the queue counters, and makes
 /// a later `report` a clean not-found.

@@ -194,6 +194,16 @@ assert proc.wait(timeout=120) == 0, "daemon must exit 0 after clean shutdown"
 print("daemon ok: report byte-identical over the wire, "
       "doctor + queue served, typed errors, clean shutdown")
 EOF
+# A wire line nested far past the JSON parser's depth limit (50,000 `[`
+# bytes, well under the 1 MiB line cap) must get a typed `malformed`
+# reply, not overflow the daemon's stack; the daemon then shuts down
+# cleanly with exit 0.
+python3 -c 'print("[" * 50000); print("{\"verb\": \"shutdown\"}")' \
+    | ./target/release/nchecker serve --stdio --quiet > "$daemon_dir/deep.out" \
+    || { echo "deep-nesting smoke: daemon did not exit 0"; exit 1; }
+head -n 1 "$daemon_dir/deep.out" | grep -q '"code":"malformed"' \
+    || { echo "deep-nesting smoke: no malformed reply"; cat "$daemon_dir/deep.out"; exit 1; }
+echo "deep-nesting smoke ok: malformed reply, daemon exited 0"
 
 echo "==> cache determinism tests"
 # Cold/warm differential suite: whole-report hits, prefix replay after
@@ -228,13 +238,19 @@ trap 'rm -rf "$smoke_dir" "$targeted_dir" "$tele_dir" "$daemon_dir" "$vet_dir"' 
     --cache-dir "$vet_dir/cache" --quiet > "$vet_dir/vet.json"
 cmp "$vet_dir/oneshot.json" "$vet_dir/vet.json" \
     || { echo "vet smoke: multi-process output differs from one-shot"; exit 1; }
+# Default one-shot keeps no memory tier and renders on the pool; it must
+# print the --no-cache bytes.
+./target/release/nchecker --json --quiet \
+    $(find "$vet_dir/corpus" -name '*.apk' | sort) > "$vet_dir/default.json"
+cmp "$vet_dir/oneshot.json" "$vet_dir/default.json" \
+    || { echo "vet smoke: default one-shot output differs from --no-cache"; exit 1; }
 # vet forwards the shared checker and cache flags to its workers, so an
 # uncached vet prints the same bytes too.
 ./target/release/nchecker vet --workers 2 --no-cache --corpus-dir "$vet_dir/corpus" \
     > "$vet_dir/vet-nocache.json"
 cmp "$vet_dir/oneshot.json" "$vet_dir/vet-nocache.json" \
     || { echo "vet smoke: --no-cache output differs from one-shot"; exit 1; }
-echo "vet smoke ok: 40 apps byte-identical across 2 worker processes, cached and uncached"
+echo "vet smoke ok: 40 apps byte-identical across 2 worker processes, cached and uncached, and default one-shot"
 ./target/release/genapp corpus --seed 7 --count 40 --shards 8 --version 1 \
     "$vet_dir/corpus"
 # Keep the summary on stderr this time: the clean path must spawn the
