@@ -119,7 +119,7 @@ fn main() {
     // slowest, plainest path the warm output must match exactly.
     let reference = AnalysisService::new(
         ServiceOptions {
-            no_cache: true,
+            mem_budget: Some(0),
             ..ServiceOptions::default()
         },
         Obs::disabled(),

@@ -61,10 +61,11 @@ pub fn config_fingerprint(config: &CheckerConfig) -> u64 {
 /// Everything one clean analysis run leaves behind for the next version
 /// of the same app.
 ///
-/// Targeted-mode runs write *minimal* entries: only the fingerprints and
-/// the report are populated (whole-report reuse), since replaying a lift
-/// seed would materialize full bodies and silently forfeit the mode's
-/// savings. The `Default` impl exists for exactly that shape.
+/// Only the seeded pipeline fills the replay fields. Every other entry —
+/// a plain-pipeline miss (targeted mode, or no memory tier) or a disk
+/// hit promoted into memory — is *report-only*: the fingerprints and the
+/// report (whole-report reuse). The `Default` impl exists for exactly
+/// that shape.
 #[derive(Debug, Clone, Default)]
 pub struct AppCacheEntry {
     /// FNV-1a of the raw bundle bytes: an exact match (plus config
@@ -118,39 +119,17 @@ impl AppCacheEntry {
     }
 }
 
-/// What an incremental analysis actually reused, for hit-rate reporting.
-#[derive(Debug, Clone, Copy, Default)]
+/// What the cache ladder did for one app, for hit-rate reporting.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReuseStats {
     /// The whole cached report was returned (identical bundle + config).
     pub whole_report: bool,
-    /// Classes in the analyzed bundle.
+    /// Classes in the analyzed bundle (seeded pipeline only).
     pub classes_total: usize,
     /// Leading classes replayed from the cache (verify + lift skipped).
     pub classes_reused: usize,
-    /// Methods with bodies in the analyzed bundle.
-    pub methods_total: usize,
-    /// Per-method dataflow artifact sets reused.
-    pub analyses_reused: usize,
-    /// Summary slots seeded clean from the previous run.
-    pub summaries_clean: usize,
-    /// Summary slots recomputed.
-    pub summaries_dirty: usize,
     /// The analysis degraded, so nothing was reused or written back.
     pub degraded: bool,
-}
-
-impl ReuseStats {
-    /// Fraction of classes whose verify/lift/dataflow work was reused,
-    /// in `[0, 1]`. Whole-report hits count as full reuse.
-    pub fn class_hit_rate(&self) -> f64 {
-        if self.whole_report {
-            return 1.0;
-        }
-        if self.classes_total == 0 {
-            return 0.0;
-        }
-        self.classes_reused as f64 / self.classes_total as f64
-    }
 }
 
 #[cfg(test)]
@@ -214,19 +193,5 @@ mod tests {
             bigger.approx_bytes() > 50 * empty.approx_bytes(),
             "size scales with artifact counts, not entry count"
         );
-    }
-
-    #[test]
-    fn hit_rate_edges() {
-        let mut s = ReuseStats::default();
-        assert_eq!(s.class_hit_rate(), 0.0);
-        s.whole_report = true;
-        assert_eq!(s.class_hit_rate(), 1.0);
-        let s = ReuseStats {
-            classes_total: 10,
-            classes_reused: 9,
-            ..ReuseStats::default()
-        };
-        assert!((s.class_hit_rate() - 0.9).abs() < 1e-9);
     }
 }

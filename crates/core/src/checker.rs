@@ -276,6 +276,60 @@ fn seal(mut report: AppReport, obs: &Obs) -> AppReport {
     report
 }
 
+/// Runs `f`, converting a panic into [`AnalyzeError::Panic`] with the
+/// panic message (when it has one).
+fn contain<T>(f: impl FnOnce() -> Result<T, AnalyzeError>) -> Result<T, AnalyzeError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_owned());
+        Err(AnalyzeError::Panic(msg))
+    })
+}
+
+/// Turns the lifter's skipped methods into the report's
+/// [`AnalysisSkip`]s — a method that failed structural verification is
+/// charged to [`SkipCause::Verify`], any other to [`SkipCause::Lift`] —
+/// and announces the degradation on `obs`.
+fn record_skips(
+    apk: &Apk,
+    skips: Vec<nck_ir::lift::MethodSkip>,
+    bad_methods: &BTreeMap<String, String>,
+    obs: &Obs,
+) -> Vec<AnalysisSkip> {
+    let skipped: Vec<AnalysisSkip> = skips
+        .into_iter()
+        .map(|s| AnalysisSkip {
+            cause: if bad_methods.contains_key(&s.method) {
+                SkipCause::Verify
+            } else {
+                SkipCause::Lift
+            },
+            method: s.method,
+            detail: s.reason,
+        })
+        .collect();
+    if let Some(first) = skipped.first() {
+        if obs.metrics.is_enabled() {
+            obs.metrics
+                .inc("analyze.skipped_methods", skipped.len() as u64);
+        }
+        obs.events.warn(&format!(
+            "{}: degraded analysis, {} method(s) skipped (first: {})",
+            apk.manifest.package,
+            skipped.len(),
+            first.method
+        ));
+        for s in &skipped {
+            obs.events
+                .debug(&format!("skipped {} [{}]: {}", s.method, s.cause, s.detail));
+        }
+    }
+    skipped
+}
+
 impl NChecker {
     /// Creates a checker with the standard registry and all analyses on.
     pub fn new() -> NChecker {
@@ -321,68 +375,36 @@ impl NChecker {
     /// panic slips through, converting it into [`AnalyzeError::Panic`]
     /// instead of unwinding through the caller.
     pub fn analyze_bytes_checked(&self, bytes: &[u8]) -> Result<AppReport, AnalyzeError> {
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.analyze_bytes(bytes)));
-        match result {
-            Ok(r) => r,
-            Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_owned())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_owned());
-                Err(AnalyzeError::Panic(msg))
-            }
-        }
+        contain(|| self.analyze_bytes(bytes))
     }
 
-    /// Analyzes a serialized bundle, reusing everything `prev` can
-    /// soundly offer and returning the replay material for the *next*
-    /// version alongside the report.
+    /// The seeded pipeline: analyzes a serialized bundle, replaying what
+    /// `prev` (the cache entry of an earlier version of the same app) can
+    /// soundly offer, and returns the replay material for the *next*
+    /// version alongside the report. Panics are contained exactly as in
+    /// [`NChecker::analyze_bytes_checked`].
     ///
-    /// Reuse has three rungs, each gated by content fingerprints:
+    /// The longest leading run of classes whose content fingerprints
+    /// match `prev` skips per-class verification, replays the lift,
+    /// reuses per-method dataflow artifacts, and seeds the
+    /// interprocedural summaries (changed methods, plus any replayed
+    /// method whose call resolution drifted, are recomputed transitively
+    /// through the call-graph dirty set). Checkers always run in full:
+    /// their evidence inspects global state (entry reachability,
+    /// scanned-loop counts, call-graph paths) that per-method caching
+    /// cannot soundly slice.
     ///
-    /// 1. **Whole report** — identical bundle bytes and configuration:
-    ///    the cached report is returned verbatim.
-    /// 2. **Class prefix** — the longest leading run of classes whose
-    ///    content fingerprints match skips per-class verification,
-    ///    replays the lift, reuses per-method dataflow artifacts, and
-    ///    seeds the interprocedural summaries (changed methods, plus any
-    ///    replayed method whose call resolution drifted, are recomputed
-    ///    transitively through the call-graph dirty set).
-    /// 3. **Nothing** — no entry, config mismatch, or a degraded app.
+    /// Deciding *whether* to run this — rather than serve a cached
+    /// report, or run the plain pipeline — is the caller's job (the
+    /// analysis service's cache ladder). The whole-app pipeline always
+    /// runs here, so targeted mode belongs on the plain pipeline.
     ///
-    /// Checkers always run in full: their evidence inspects global state
-    /// (entry reachability, scanned-loop counts, call-graph paths) that
-    /// per-method caching cannot soundly slice. The returned entry is
-    /// `None` exactly when there is nothing safe to cache: the analysis
-    /// degraded (skipped methods mean unknown behaviour — such apps also
-    /// never *read* the cache beyond rung 1, which requires bytes
-    /// identical to a previously *clean* run), or rung 1 hit (the old
-    /// entry is still current).
-    pub fn analyze_bytes_reusing(
-        &self,
-        bytes: &[u8],
-        prev: Option<&crate::cache::AppCacheEntry>,
-    ) -> Result<
-        (
-            AppReport,
-            Option<crate::cache::AppCacheEntry>,
-            crate::cache::ReuseStats,
-        ),
-        AnalyzeError,
-    > {
-        self.analyze_bytes_reusing_fp(bytes, nck_dex::wire::fnv1a(bytes), prev)
-    }
-
-    /// [`Checker::analyze_bytes_reusing`] with the bundle fingerprint
-    /// supplied by the caller. The service hashes each bundle exactly
-    /// once per lookup (the same fingerprint gates both cache tiers) and
-    /// threads it through here instead of re-hashing per rung.
     /// `bundle_fp` must be `fnv1a(bytes)`; anything else would record a
     /// cache entry that can never be matched — or worse, matched
-    /// wrongly.
-    pub fn analyze_bytes_reusing_fp(
+    /// wrongly. The returned entry is `None` exactly when the analysis
+    /// degraded: skipped methods mean unknown behaviour, which is no
+    /// foundation to replay anything on.
+    pub fn analyze_bytes_seeded(
         &self,
         bytes: &[u8],
         bundle_fp: u64,
@@ -398,129 +420,87 @@ impl NChecker {
         use crate::cache::{config_fingerprint, AppCacheEntry, ReuseStats};
         use crate::context::AppReuse;
 
-        debug_assert_eq!(bundle_fp, nck_dex::wire::fnv1a(bytes));
-        let obs = self.obs.fresh();
-        let config_fp = config_fingerprint(&self.config);
-        if let Some(p) = prev {
-            if p.bundle_fp == bundle_fp && p.config_fp == config_fp {
-                let stats = ReuseStats {
-                    whole_report: true,
-                    classes_total: p.class_fps.len(),
-                    classes_reused: p.class_fps.len(),
-                    ..ReuseStats::default()
-                };
-                return Ok((seal(p.report.clone(), &obs), None, stats));
-            }
-        }
-        // A seed computed under different analysis semantics is useless.
-        let prev = prev.filter(|p| p.config_fp == config_fp);
+        contain(|| {
+            debug_assert_eq!(bundle_fp, nck_dex::wire::fnv1a(bytes));
+            let obs = self.obs.fresh();
+            let config_fp = config_fingerprint(&self.config);
+            // A seed computed under different analysis semantics is useless.
+            let prev = prev.filter(|p| p.config_fp == config_fp);
 
-        // Targeted mode only participates in rung 1 (whole-report
-        // reuse): class-prefix replay materializes *full* lifted bodies,
-        // which would silently re-run the whole-app pipeline and forfeit
-        // the prescan/slice savings. Targeted entries therefore carry
-        // only the report; their seed fields stay empty.
-        if self.config.targeted {
-            let report = {
+            let mut stats = ReuseStats::default();
+            let (report, entry) = {
                 let _app = obs.tracer.span("app");
                 let apk = {
                     let _s = obs.tracer.span("parse");
                     Apk::from_bytes_obs(bytes, &obs.metrics).map_err(AnalyzeError::Apk)?
                 };
-                self.analyze_apk_with(&apk, &obs)?
-            };
-            let stats = ReuseStats {
-                degraded: report.degraded(),
-                ..ReuseStats::default()
-            };
-            let entry = (!report.degraded()).then(|| AppCacheEntry {
-                bundle_fp,
-                config_fp,
-                report: report.clone(),
-                ..AppCacheEntry::default()
-            });
-            return Ok((seal(report, &obs), entry, stats));
-        }
+                let class_fps = {
+                    let _s = obs.tracer.span("class_fps");
+                    nck_dex::class_fingerprints(&apk.adx)
+                };
+                let prefix = prev.map_or(0, |p| p.lift_seed.common_prefix(&class_fps));
+                stats.classes_total = class_fps.len();
 
-        let mut stats = ReuseStats::default();
-        let (report, entry) = {
-            let _app = obs.tracer.span("app");
-            let apk = {
-                let _s = obs.tracer.span("parse");
-                Apk::from_bytes_obs(bytes, &obs.metrics).map_err(AnalyzeError::Apk)?
-            };
-            let class_fps = {
-                let _s = obs.tracer.span("class_fps");
-                nck_dex::class_fingerprints(&apk.adx)
-            };
-            let prefix = prev.map_or(0, |p| p.lift_seed.common_prefix(&class_fps));
-            stats.classes_total = class_fps.len();
+                // Skip per-class verification only for prefix classes: they
+                // were verified clean by the run that recorded the seed
+                // (degraded runs never write entries).
+                let skip: Vec<bool> = (0..class_fps.len()).map(|i| i < prefix).collect();
+                let verify_errors = {
+                    let s = obs.tracer.span("verify");
+                    let errs = nck_dex::verify::verify_with_skip(&apk.adx, &skip);
+                    s.add_items(errs.len() as u64);
+                    errs
+                };
+                if !verify_errors.is_empty() {
+                    // Degraded (or unanalyzable) input: take the cold path in
+                    // full — its per-method degradation policy applies — and
+                    // write nothing back.
+                    stats.degraded = true;
+                    let report = self.analyze_apk_with(&apk, &obs)?;
+                    return Ok((seal(report, &obs), None, stats));
+                }
 
-            // Skip per-class verification only for prefix classes: they
-            // were verified clean by the run that recorded the seed
-            // (degraded runs never write entries).
-            let skip: Vec<bool> = (0..class_fps.len()).map(|i| i < prefix).collect();
-            let verify_errors = {
-                let s = obs.tracer.span("verify");
-                let errs = nck_dex::verify::verify_with_skip(&apk.adx, &skip);
-                s.add_items(errs.len() as u64);
-                errs
-            };
-            if !verify_errors.is_empty() {
-                // Degraded (or unanalyzable) input: take the cold path in
-                // full — its per-method degradation policy applies — and
-                // write nothing back.
-                stats.degraded = true;
-                let report = self.analyze_apk_with(&apk, &obs)?;
-                return Ok((seal(report, &obs), None, stats));
-            }
+                let lifted = {
+                    let _s = obs.tracer.span("lift");
+                    nck_ir::lift::lift_file_seeded(&apk.adx, &class_fps, prev.map(|p| &p.lift_seed))
+                        .map_err(AnalyzeError::Lift)?
+                };
+                let nck_ir::lift::SeededLift {
+                    program,
+                    seed: lift_seed,
+                    reused_classes,
+                    reused_methods,
+                } = lifted;
+                stats.classes_reused = reused_classes;
 
-            let lifted = {
-                let _s = obs.tracer.span("lift");
-                nck_ir::lift::lift_file_seeded(&apk.adx, &class_fps, prev.map(|p| &p.lift_seed))
-                    .map_err(AnalyzeError::Lift)?
+                let reuse = prev.map(|p| AppReuse {
+                    analyses: &p.analyses,
+                    reused_methods: &reused_methods,
+                    callee_fps: &p.callee_fps,
+                    summary_seed: &p.summary_seed,
+                });
+                let app = AnalyzedApp::new_reusing(
+                    apk.manifest.clone(),
+                    program,
+                    &self.registry,
+                    reuse,
+                    &obs,
+                );
+                let report = self.analyze_with(&app, &obs);
+                let entry = AppCacheEntry {
+                    bundle_fp,
+                    config_fp,
+                    class_fps,
+                    lift_seed,
+                    callee_fps: app.callee_fps().to_vec(),
+                    analyses: app.analyses_arc().clone(),
+                    summary_seed: app.summary_seed().clone(),
+                    report: report.clone(),
+                };
+                (report, entry)
             };
-            let nck_ir::lift::SeededLift {
-                program,
-                seed: lift_seed,
-                reused_classes,
-                reused_methods,
-            } = lifted;
-            stats.classes_reused = reused_classes;
-            stats.methods_total = program.methods.iter().filter(|m| m.body.is_some()).count();
-
-            let reuse = prev.map(|p| AppReuse {
-                analyses: &p.analyses,
-                reused_methods: &reused_methods,
-                callee_fps: &p.callee_fps,
-                summary_seed: &p.summary_seed,
-            });
-            let app = AnalyzedApp::new_reusing(
-                apk.manifest.clone(),
-                program,
-                &self.registry,
-                reuse,
-                &obs,
-            );
-            let ctx = app.reuse_stats();
-            stats.analyses_reused = ctx.analyses_reused;
-            stats.summaries_clean = ctx.summaries_clean;
-            stats.summaries_dirty = ctx.summaries_dirty;
-
-            let report = self.analyze_with(&app, &obs);
-            let entry = AppCacheEntry {
-                bundle_fp,
-                config_fp,
-                class_fps,
-                lift_seed,
-                callee_fps: app.callee_fps().to_vec(),
-                analyses: app.analyses_arc().clone(),
-                summary_seed: app.summary_seed().clone(),
-                report: report.clone(),
-            };
-            (report, entry)
-        };
-        Ok((seal(report, &obs), Some(entry), stats))
+            Ok((seal(report, &obs), Some(entry), stats))
+        })
     }
 
     /// Analyzes a parsed APK bundle.
@@ -607,37 +587,7 @@ impl NChecker {
             }
             (program, skips)
         };
-        let skipped_methods: Vec<AnalysisSkip> = lift_skips
-            .into_iter()
-            .map(|s| {
-                let cause = if bad_methods.contains_key(&s.method) {
-                    SkipCause::Verify
-                } else {
-                    SkipCause::Lift
-                };
-                AnalysisSkip {
-                    method: s.method,
-                    cause,
-                    detail: s.reason,
-                }
-            })
-            .collect();
-        if !skipped_methods.is_empty() {
-            if obs.metrics.is_enabled() {
-                obs.metrics
-                    .inc("analyze.skipped_methods", skipped_methods.len() as u64);
-            }
-            obs.events.warn(&format!(
-                "{}: degraded analysis, {} method(s) skipped (first: {})",
-                apk.manifest.package,
-                skipped_methods.len(),
-                skipped_methods[0].method
-            ));
-            for s in &skipped_methods {
-                obs.events
-                    .debug(&format!("skipped {} [{}]: {}", s.method, s.cause, s.detail));
-            }
-        }
+        let skipped_methods = record_skips(apk, lift_skips, &bad_methods, obs);
 
         let app = AnalyzedApp::new_with_obs(apk.manifest.clone(), program, &self.registry, obs);
         let mut report = self.analyze_with(&app, obs);
@@ -733,37 +683,7 @@ impl NChecker {
             );
         }
 
-        let skipped_methods: Vec<AnalysisSkip> = all_skips
-            .into_iter()
-            .map(|s| {
-                let cause = if bad_methods.contains_key(&s.method) {
-                    SkipCause::Verify
-                } else {
-                    SkipCause::Lift
-                };
-                AnalysisSkip {
-                    method: s.method,
-                    cause,
-                    detail: s.reason,
-                }
-            })
-            .collect();
-        if !skipped_methods.is_empty() {
-            if obs.metrics.is_enabled() {
-                obs.metrics
-                    .inc("analyze.skipped_methods", skipped_methods.len() as u64);
-            }
-            obs.events.warn(&format!(
-                "{}: degraded analysis, {} method(s) skipped (first: {})",
-                apk.manifest.package,
-                skipped_methods.len(),
-                skipped_methods[0].method
-            ));
-            for s in &skipped_methods {
-                obs.events
-                    .debug(&format!("skipped {} [{}]: {}", s.method, s.cause, s.detail));
-            }
-        }
+        let skipped_methods = record_skips(apk, all_skips, bad_methods, obs);
 
         let app = AnalyzedApp::new_with_obs(apk.manifest.clone(), program, &self.registry, obs);
         let mut report = self.analyze_with(&app, obs);

@@ -139,19 +139,6 @@ pub struct AppReuse<'a> {
     pub summary_seed: &'a SummarySeed,
 }
 
-/// How much prior work the context constructor actually reused.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ContextReuse {
-    /// Method analyses cloned from the previous run.
-    pub analyses_reused: usize,
-    /// Method analyses recomputed.
-    pub analyses_computed: usize,
-    /// Summary indices seeded clean from the previous run.
-    pub summaries_clean: usize,
-    /// Summary indices recomputed (body changed, new, or callee drift).
-    pub summaries_dirty: usize,
-}
-
 /// The fully analyzed app every checker consumes.
 #[derive(Debug)]
 pub struct AnalyzedApp<'r> {
@@ -172,7 +159,6 @@ pub struct AnalyzedApp<'r> {
     summaries: Summaries,
     summary_seed: SummarySeed,
     callee_fps: Vec<u64>,
-    reuse: ContextReuse,
 }
 
 impl<'r> AnalyzedApp<'r> {
@@ -224,7 +210,6 @@ impl<'r> AnalyzedApp<'r> {
             callgraph.entry_reach_sets(&entry_methods, program.methods.len())
         };
         let callee_fps = callee_fingerprints(&program, &callgraph);
-        let mut stats = ContextReuse::default();
         let reused: BTreeSet<MethodId> = reuse
             .as_ref()
             .map(|r| r.reused_methods.iter().copied().collect())
@@ -239,12 +224,10 @@ impl<'r> AnalyzedApp<'r> {
                 };
                 if reused.contains(&id) {
                     if let Some(prev) = reuse.as_ref().and_then(|r| r.analyses.get(&id)) {
-                        stats.analyses_reused += 1;
                         analyses.insert(id, Arc::clone(prev));
                         continue;
                     }
                 }
-                stats.analyses_computed += 1;
                 to_compute.push((id, body));
             }
             // Per-method analyses are independent, so fan the batch out
@@ -303,10 +286,6 @@ impl<'r> AnalyzedApp<'r> {
                 }
                 (r.summary_seed, dirty)
             });
-            stats.summaries_dirty = seed_input
-                .as_ref()
-                .map_or(program.methods.len(), |(_, d)| d.len());
-            stats.summaries_clean = program.methods.len() - stats.summaries_dirty;
             compute_summaries(
                 &program,
                 &callgraph,
@@ -332,7 +311,6 @@ impl<'r> AnalyzedApp<'r> {
             summaries,
             summary_seed,
             callee_fps,
-            reuse: stats,
         }
     }
 
@@ -357,11 +335,6 @@ impl<'r> AnalyzedApp<'r> {
     /// The full per-method analysis map, shareable with a cache.
     pub fn analyses_arc(&self) -> &BTreeMap<MethodId, Arc<MethodAnalysis>> {
         &self.analyses
-    }
-
-    /// How much prior work this context reused.
-    pub fn reuse_stats(&self) -> ContextReuse {
-        self.reuse
     }
 
     /// The dataflow artifacts of `method`.

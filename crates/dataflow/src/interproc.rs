@@ -731,7 +731,13 @@ impl Summaries {
         let mut round0: Option<Round0> = None;
         for _ in 0..MAX_FIELD_ROUNDS {
             field_rounds += 1;
-            let _round = obs.tracer.span("field_round");
+            // Round 0 is the main summary pass; later rounds only refine
+            // field constants.
+            let _round = obs.tracer.span(if round0.is_none() {
+                "summary_pass"
+            } else {
+                "field_refine"
+            });
             recompute(
                 &mut summaries,
                 &mut contribs,
@@ -762,7 +768,7 @@ impl Summaries {
         }
         if !stable {
             field_rounds += 1;
-            let _round = obs.tracer.span("field_round");
+            let _round = obs.tracer.span("field_refine");
             let mut all: BTreeSet<usize> = (0..n).collect();
             recompute(
                 &mut summaries,
@@ -1826,5 +1832,26 @@ mod tests {
             "loner should be served from the seed: {:?}",
             snap.counters
         );
+    }
+
+    #[test]
+    fn the_main_pass_is_not_charged_to_field_refinement() {
+        // No field is ever stored, so round 0 already reaches the fixed
+        // point: one summary pass, no refinement round.
+        let p = chain_program(7);
+        let obs = nck_obs::Obs::enabled();
+        let (s, _) = compute_seeded(&p, None, &obs);
+        assert_eq!(s.stats().field_consts, 0);
+        let trace = obs.tracer.finish();
+        let count = |name: &str| {
+            trace
+                .flatten()
+                .iter()
+                .filter(|(_, node)| node.name == name)
+                .count()
+        };
+        assert_eq!(count("summary_pass"), 1);
+        assert_eq!(count("field_refine"), 0);
+        assert_eq!(obs.metrics.snapshot().counters["summary.field_rounds"], 1);
     }
 }

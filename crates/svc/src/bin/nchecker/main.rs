@@ -69,9 +69,9 @@ fn service_options(cli: &Cli) -> ServiceOptions {
             ..CheckerConfig::default()
         },
         jobs: cli.jobs,
-        cache_dir: cli.cache_dir.clone(),
-        no_cache: cli.no_cache,
-        mem_budget: None,
+        // `--no-cache`: neither a memory tier nor a disk tier.
+        cache_dir: cli.cache_dir.clone().filter(|_| !cli.no_cache),
+        mem_budget: cli.no_cache.then_some(0),
         cache_budget: cli.cache_budget,
     }
 }

@@ -8,6 +8,8 @@
 //! key is the incremental path: unchanged class prefixes replay, dirty
 //! methods recompute, and the report is byte-identical to a cold run.
 //!
+//! Every cache decision is made here, in one ladder (see
+//! `AnalysisService::analyze_with_checker`); the checker only analyzes.
 //! Degraded apps (any skipped method) bypass the cache write path
 //! entirely: their entries would record unknown behaviour as replayable
 //! truth.
@@ -92,8 +94,8 @@ impl BatchCacheStats {
         }
     }
 
-    /// Class-level reuse rate in `[0, 1]` (hits count their classes as
-    /// reused via the per-app stats).
+    /// Class-level reuse rate in `[0, 1]` over the classes the seeded
+    /// pipeline analyzed (whole-report hits carry no class counts).
     pub fn class_reuse_rate(&self) -> f64 {
         if self.classes_total == 0 {
             0.0
@@ -110,10 +112,9 @@ pub struct ServiceOptions {
     pub config: CheckerConfig,
     /// Worker count override (`None` = [`crate::pool::default_workers`]).
     pub jobs: Option<usize>,
-    /// Disk cache directory (`None` = memory tier only).
+    /// Disk cache directory (`None` = memory tier only). With
+    /// `mem_budget: Some(0)` as well, the service caches nothing.
     pub cache_dir: Option<PathBuf>,
-    /// Disable the cache entirely (lookups and writes).
-    pub no_cache: bool,
     /// Memory-tier byte budget override
     /// (`None` = [`crate::store::DEFAULT_MEM_BYTES`]). `Some(0)` means
     /// *no memory tier*: a miss runs the plain uncached pipeline
@@ -139,7 +140,6 @@ pub struct AnalysisService {
     obs: Obs,
     store: AnalysisStore,
     jobs: Option<usize>,
-    no_cache: bool,
     cache_budget: Option<u64>,
 }
 
@@ -162,7 +162,6 @@ impl AnalysisService {
                 options.cache_dir,
             ),
             jobs: options.jobs,
-            no_cache: options.no_cache,
             cache_budget: options.cache_budget,
             obs,
         }
@@ -247,96 +246,65 @@ impl AnalysisService {
         checker
     }
 
+    /// The cache ladder — the one place that decides which rung serves
+    /// an app:
+    ///
+    /// 1. hash the bundle once;
+    /// 2. a memory-tier entry for this bundle and config is a
+    ///    whole-report hit;
+    /// 3. otherwise a disk-tier entry for this bundle is a whole-report
+    ///    hit (promoted into the memory tier, when there is one), and a
+    ///    stale disk entry of the same key is kept as the delta base;
+    /// 4. a miss runs [`NChecker::analyze_bytes_seeded`] — class-prefix
+    ///    replay from the stale memory entry — exactly when the service
+    ///    keeps a memory tier and the config is not targeted (replaying
+    ///    a lift seed would materialize full bodies and forfeit the
+    ///    mode's savings), and the plain
+    ///    [`NChecker::analyze_bytes_checked`] otherwise. A clean plain
+    ///    miss is recorded report-only.
+    ///
+    /// Both pipelines contain panics; degraded apps are never recorded.
     fn analyze_with_checker(&self, checker: &NChecker, key: &str, bytes: &[u8]) -> AppOutcome {
         let svc_obs = self.obs.fresh();
+        let bundle_fp = nck_dex::wire::fnv1a(bytes);
 
-        if self.no_cache {
-            let report = checker.analyze_bytes_checked(bytes);
-            return AppOutcome {
-                report,
-                reuse: ReuseStats::default(),
-                delta: None,
-                rendered: None,
-            };
+        let prev = self
+            .store
+            .lookup(key, &svc_obs)
+            .filter(|p| p.config_fp == self.config_fp);
+        if let Some(p) = prev.as_ref().filter(|p| p.bundle_fp == bundle_fp) {
+            return self.hit(key, bundle_fp, p.report.clone(), &svc_obs);
         }
 
-        // The bundle is hashed exactly once per lookup: this same
-        // fingerprint gates the memory tier (inside
-        // `analyze_bytes_reusing_fp`), the disk tier, and the recorded
-        // entry.
-        let bundle_fp = nck_dex::wire::fnv1a(bytes);
-        let prev = self.store.lookup(key, &svc_obs);
-
-        // Disk tier: only consulted when the memory tier has nothing for
-        // this key (a memory entry subsumes its own disk twin). An exact
-        // fingerprint match is a whole-report hit — *promoted* into the
-        // memory tier so the next lookup for this key skips the read and
-        // decode entirely. A *stale* entry (same key, different bundle —
-        // a resubmitted version) becomes the delta base, so version
-        // diffs survive process restarts.
+        // The disk tier is only consulted when the memory tier has nothing
+        // for this key (a memory entry subsumes its own disk twin). A
+        // stale entry (same key, different bundle — a resubmitted
+        // version) becomes the delta base, so version diffs survive
+        // process restarts.
         let mut disk_base: Option<(u64, AppReport)> = None;
-        if prev.is_none() && self.store.has_disk() {
+        if prev.is_none() {
             match self.store.lookup_disk_any(key, self.config_fp, &svc_obs) {
                 Some((stored_fp, report)) if stored_fp == bundle_fp => {
-                    self.store.count_outcome(true, &svc_obs);
-                    // The disk tier holds exactly this: fingerprints and
-                    // report, no replay seeds. The promoted entry serves
-                    // rung 1 (whole-report reuse) from memory; a changed
-                    // bundle recomputes cold either way. Without a memory
-                    // tier there is nowhere to promote to.
+                    // The promoted entry (fingerprints and report, no
+                    // replay seeds) serves the next lookup from memory.
                     if self.store.has_memory() {
-                        self.store.promote(
-                            key,
-                            AppCacheEntry {
-                                bundle_fp,
-                                config_fp: self.config_fp,
-                                report: report.clone(),
-                                ..AppCacheEntry::default()
-                            },
-                            &svc_obs,
-                        );
+                        self.store
+                            .promote(key, self.report_only(bundle_fp, &report), &svc_obs);
                     }
-                    let reuse = ReuseStats {
-                        whole_report: true,
-                        ..ReuseStats::default()
-                    };
-                    return AppOutcome {
-                        report: Ok(self.stamp(report, &svc_obs)),
-                        reuse,
-                        delta: None,
-                        rendered: self.store.render_cell(key, bundle_fp),
-                    };
+                    return self.hit(key, bundle_fp, report, &svc_obs);
                 }
                 Some(stale) => disk_base = Some(stale),
                 None => {}
             }
         }
 
-        let result = if self.store.has_memory() {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                checker.analyze_bytes_reusing_fp(bytes, bundle_fp, prev.as_deref())
-            }))
-            .unwrap_or_else(|payload| {
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_owned())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_owned());
-                Err(AnalyzeError::Panic(msg))
-            })
+        let result = if self.store.has_memory() && !self.config.targeted {
+            checker.analyze_bytes_seeded(bytes, bundle_fp, prev.as_deref())
         } else {
-            // No memory tier: nothing to replay from and nowhere to keep
-            // replay seeds, so a miss is the plain uncached pipeline. A
-            // clean report still goes to the disk tier, report-only (the
-            // wire format drops the sealed trace and metrics).
             checker.analyze_bytes_checked(bytes).map(|report| {
                 let degraded = report.degraded();
-                let entry = (self.store.has_disk() && !degraded).then(|| AppCacheEntry {
-                    bundle_fp,
-                    config_fp: self.config_fp,
-                    report: report.clone(),
-                    ..AppCacheEntry::default()
-                });
+                let keep = !degraded && (self.store.has_memory() || self.store.has_disk());
+                let entry = keep.then(|| self.report_only(bundle_fp, &report));
                 let reuse = ReuseStats {
                     degraded,
                     ..ReuseStats::default()
@@ -344,67 +312,76 @@ impl AnalysisService {
                 (report, entry, reuse)
             })
         };
+        self.store.count_outcome(false, &svc_obs);
+        let (report, entry, reuse) = match result {
+            Ok(r) => r,
+            Err(e) => return AppOutcome::failed(e),
+        };
+        if reuse.classes_reused > 0 {
+            // Rung 2: class-prefix replay on a whole-report miss.
+            self.store
+                .count_replay(reuse.classes_reused as u64, &svc_obs);
+        }
+        // Defect delta: a known key whose bundle changed. The previous
+        // report comes from whichever tier held it; the fingerprints ride
+        // along from the cache entries — no hashing is spent on delta
+        // detection itself. Clean runs only (`entry` is `Some` exactly
+        // then): diffing against an incomplete report would invent fixes.
+        let base = prev
+            .as_ref()
+            .map(|p| (p.bundle_fp, &p.report))
+            .or(disk_base.as_ref().map(|(fp, r)| (*fp, r)));
+        let delta = match (&entry, base) {
+            (Some(_), Some((base_fp, base))) => {
+                Some(diff_reports(key, base_fp, bundle_fp, base, &report))
+            }
+            _ => None,
+        };
+        if delta.is_some() {
+            self.store.count_delta(&svc_obs);
+        }
+        if let Some(entry) = entry {
+            debug_assert!(
+                !entry.report.degraded(),
+                "degraded apps must bypass the cache write path"
+            );
+            self.store.insert(key, entry, &svc_obs);
+        }
+        AppOutcome {
+            report: Ok(self.stamp(report, &svc_obs)),
+            reuse,
+            delta,
+            rendered: self.store.render_cell(key, bundle_fp),
+        }
+    }
 
-        match result {
-            Ok((report, entry, reuse)) => {
-                self.store.count_outcome(reuse.whole_report, &svc_obs);
-                if !reuse.whole_report && reuse.classes_reused > 0 {
-                    // Rung 2 of the incremental ladder: class-prefix
-                    // replay on a whole-report miss.
-                    self.store
-                        .count_replay(reuse.classes_reused as u64, &svc_obs);
-                }
-                // Defect delta: a known key whose bundle changed. The
-                // previous report comes from whichever tier held it; the
-                // fingerprints ride along from the cache entries — no
-                // hashing is spent on delta detection itself. Clean runs
-                // only (`entry` is `Some` exactly then): diffing against
-                // an incomplete report would invent fixes.
-                let delta = match (&entry, reuse.whole_report) {
-                    (Some(entry), false) => match (&prev, &disk_base) {
-                        (Some(p), _) => Some(diff_reports(
-                            key,
-                            p.bundle_fp,
-                            entry.bundle_fp,
-                            &p.report,
-                            &report,
-                        )),
-                        (None, Some((stored_fp, base))) => Some(diff_reports(
-                            key,
-                            *stored_fp,
-                            entry.bundle_fp,
-                            base,
-                            &report,
-                        )),
-                        (None, None) => None,
-                    },
-                    _ => None,
-                };
-                if delta.is_some() {
-                    self.store.count_delta(&svc_obs);
-                }
-                if let Some(entry) = entry {
-                    debug_assert!(
-                        !entry.report.degraded(),
-                        "degraded apps must bypass the cache write path"
-                    );
-                    self.store.insert(key, entry, &svc_obs);
-                }
-                // The resident entry's render cell — present after an
-                // insert, and on a rung-1 memory hit (the entry that
-                // served it is still resident with this fingerprint).
-                let rendered = self.store.render_cell(key, bundle_fp);
-                AppOutcome {
-                    report: Ok(self.stamp(report, &svc_obs)),
-                    reuse,
-                    delta,
-                    rendered,
-                }
-            }
-            Err(e) => {
-                self.store.count_outcome(false, &svc_obs);
-                AppOutcome::failed(e)
-            }
+    /// A whole-report hit, from either tier.
+    fn hit(&self, key: &str, bundle_fp: u64, report: AppReport, svc_obs: &Obs) -> AppOutcome {
+        self.store.count_outcome(true, svc_obs);
+        AppOutcome {
+            report: Ok(self.stamp(report, svc_obs)),
+            reuse: ReuseStats {
+                whole_report: true,
+                ..ReuseStats::default()
+            },
+            delta: None,
+            rendered: self.store.render_cell(key, bundle_fp),
+        }
+    }
+
+    /// A cache entry holding only the fingerprints and the report
+    /// (unsealed: a cached report carries no trace or metrics of the run
+    /// that computed it) — what the disk tier stores, and all a plain
+    /// miss records.
+    fn report_only(&self, bundle_fp: u64, report: &AppReport) -> AppCacheEntry {
+        let mut report = report.clone();
+        report.trace = None;
+        report.metrics = None;
+        AppCacheEntry {
+            bundle_fp,
+            config_fp: self.config_fp,
+            report,
+            ..AppCacheEntry::default()
         }
     }
 

@@ -20,15 +20,15 @@
 //!   delta even across process boundaries.
 //!
 //! The disk tier is garbage-collected by [`AnalysisStore::gc_disk`]:
-//! size-budgeted LRU eviction ordered by per-entry *atime sidecar*
-//! files (entry mtime is the fallback stamp for entries never read
-//! back). A disk hit does **no** sidecar I/O on the hot path: reads
-//! land in an in-memory write-behind journal
+//! size-budgeted LRU eviction ordered by each entry file's own mtime,
+//! which records its last write or last flushed read, whichever came
+//! later. A disk hit does **no** file I/O beyond the read on the hot
+//! path: reads land in an in-memory write-behind journal
 //! ([`AnalysisStore::flush_atimes`]) that is flushed in batches —
 //! before every GC scan, on [`AnalysisStore::sync_disk`], and when the
-//! store drops. A crash loses only the unflushed journal; GC then
-//! degrades to the mtime fallback for those entries (an entry is never
-//! evicted *wrongly*, only ranked by its older stamp). Eviction is
+//! store drops. A crash loses only the unflushed journal; those
+//! entries are then ranked by their previous stamp (an entry is never
+//! evicted *wrongly*, only ranked by an older stamp). Eviction is
 //! plain `unlink` against tmp+rename writers, so a concurrent reader
 //! sees a full entry or a miss — never a torn one. Quarantined
 //! `.quarantine` files are outside the cache namespace: GC neither
@@ -124,7 +124,7 @@ pub struct AnalysisStore {
     disk: Option<PathBuf>,
     metrics: Metrics,
     /// Write-behind atime journal: entry path → last read stamp.
-    /// Flushed to sidecar files by [`AnalysisStore::flush_atimes`].
+    /// Flushed to the entries' mtimes by [`AnalysisStore::flush_atimes`].
     atime_journal: Mutex<HashMap<PathBuf, SystemTime>>,
     /// Live disk-tier occupancy estimate, bytes. Valid once
     /// `disk_seeded` ran; resynced to exact numbers by every GC scan.
@@ -233,35 +233,18 @@ impl AnalysisStore {
             .map(|m| Arc::clone(&m.rendered))
     }
 
-    /// Disk-tier lookup: returns the cached report only when both
-    /// fingerprints match exactly.
+    /// Disk-tier read: returns whatever well-formed entry exists for
+    /// `(key, config_fp)`, along with the bundle fingerprint it was
+    /// recorded for. The caller decides hit (fingerprints match) vs.
+    /// *delta base* (they differ — the entry's report describes the
+    /// previous version of this app).
     ///
-    /// A *stale* entry (well-formed, but recorded for a different
-    /// bundle) is a plain miss and stays on disk for the next insert to
-    /// overwrite. A *corrupt* entry (unparseable, wrong wire schema, or
-    /// a shape the decoder rejects) is quarantined: left in place it
-    /// would be re-read and re-rejected on every lookup and permanently
-    /// inflate the disk occupancy stats.
-    pub fn lookup_disk(
-        &self,
-        key: &str,
-        bundle_fp: u64,
-        config_fp: u64,
-        obs: &Obs,
-    ) -> Option<nchecker::AppReport> {
-        let (stored_fp, report) = self.lookup_disk_any(key, config_fp, obs)?;
-        (stored_fp == bundle_fp).then_some(report)
-    }
-
-    /// Disk-tier read *without* the bundle-fingerprint gate: returns
-    /// whatever well-formed entry exists for `(key, config_fp)`, along
-    /// with the bundle fingerprint it was recorded for. The caller
-    /// decides hit (fingerprints match) vs. *delta base* (they differ —
-    /// the entry's report describes the previous version of this app).
-    /// Corrupt entries quarantine exactly as in
-    /// [`AnalysisStore::lookup_disk`]. Reading records the entry in the
-    /// in-memory atime journal (no sidecar I/O on the hot path), which
-    /// is what makes [`AnalysisStore::gc_disk`]'s eviction order an LRU
+    /// A *corrupt* entry (unparseable, wrong wire schema, or a shape the
+    /// decoder rejects) is quarantined: left in place it would be
+    /// re-read and re-rejected on every lookup and permanently inflate
+    /// the disk occupancy stats. Reading records the entry in the
+    /// in-memory atime journal (no extra I/O on the hot path), which is
+    /// what makes [`AnalysisStore::gc_disk`]'s eviction order an LRU
     /// rather than FIFO.
     pub fn lookup_disk_any(
         &self,
@@ -286,26 +269,27 @@ impl AnalysisStore {
     }
 
     /// Flushes the write-behind atime journal: every journaled read
-    /// becomes a sidecar file whose mtime is the recorded read stamp,
-    /// so relative recency survives the batching exactly. Entries that
-    /// vanished since the read (evicted, quarantined) are dropped
-    /// rather than resurrected as orphan sidecars. Called before every
-    /// GC scan, by [`AnalysisStore::sync_disk`], and on drop; a crash
-    /// in between loses only the journal, never an entry.
+    /// moves its entry file's mtime forward to the recorded read stamp
+    /// (never back — an entry rewritten since the read keeps its newer
+    /// write stamp), so relative recency survives the batching exactly.
+    /// Entries that vanished since the read (evicted, quarantined) are
+    /// skipped, never recreated. Called before every GC scan, by
+    /// [`AnalysisStore::sync_disk`], and on drop; a crash in between
+    /// loses only the journal, never an entry.
     pub fn flush_atimes(&self) {
         let drained: Vec<(PathBuf, SystemTime)> = {
             let mut journal = lock_plain(&self.atime_journal);
             journal.drain().collect()
         };
         for (path, stamp) in drained {
-            if !path.exists() {
+            let Ok(f) = std::fs::File::options().write(true).open(&path) else {
                 continue;
-            }
-            let sidecar = path.with_extension("atime");
-            if std::fs::write(&sidecar, b"").is_ok() {
-                if let Ok(f) = std::fs::File::options().write(true).open(&sidecar) {
-                    let _ = f.set_modified(stamp);
-                }
+            };
+            if f.metadata()
+                .and_then(|m| m.modified())
+                .is_ok_and(|mtime| mtime < stamp)
+            {
+                let _ = f.set_modified(stamp);
             }
         }
     }
@@ -317,16 +301,15 @@ impl AnalysisStore {
 
     /// Renames a corrupt cache file out of the cache namespace
     /// (`.json` → `.quarantine`, which [`scan_disk`] and lookups both
-    /// ignore), deleting it outright if even the rename fails. The
-    /// atime sidecar goes with it — a quarantined entry must never be
-    /// charged against the GC budget again.
+    /// ignore), deleting it outright if even the rename fails — a
+    /// quarantined entry must never be charged against the GC budget
+    /// again.
     fn quarantine(&self, path: &Path, obs: &Obs) {
         self.seed_occupancy();
         let len = std::fs::metadata(path).map_or(0, |m| m.len());
         if std::fs::rename(path, path.with_extension("quarantine")).is_err() {
             let _ = std::fs::remove_file(path);
         }
-        let _ = std::fs::remove_file(path.with_extension("atime"));
         lock_plain(&self.atime_journal).remove(path);
         self.sub_occupancy(len);
         self.count("svc.cache.corrupt_evict", 1, obs);
@@ -506,10 +489,9 @@ impl AnalysisStore {
     }
 
     /// Garbage-collects the disk tier down to `budget` bytes of cache
-    /// entries, evicting least-recently-used first (atime sidecar,
-    /// falling back to the entry's own mtime for entries never read
-    /// back; ties break on file name so repeated runs evict
-    /// deterministically).
+    /// entries, evicting least-recently-used first (by entry mtime: last
+    /// write or last flushed read; ties break on file name so repeated
+    /// runs evict deterministically).
     ///
     /// Safe under concurrent readers and writers: eviction is a plain
     /// `unlink`, and entries are written tmp+rename, so a reader racing
@@ -527,9 +509,9 @@ impl AnalysisStore {
             return stats;
         };
         let _s = obs.tracer.span("cache_gc");
-        // Journaled reads become sidecars before the scan, so the
-        // eviction order sees every recorded recency. Unflushed entries
-        // from a *crashed* predecessor fall back to entry mtime below.
+        // Journaled reads reach the entry mtimes before the scan, so the
+        // eviction order sees every recorded recency. Reads a *crashed*
+        // predecessor never flushed rank by the older stamp below.
         self.flush_atimes();
         let mut entries: Vec<(SystemTime, String, u64)> = Vec::new();
         let Ok(dirents) = std::fs::read_dir(dir) else {
@@ -544,11 +526,8 @@ impl AnalysisStore {
             let Ok(meta) = dirent.metadata() else {
                 continue;
             };
-            let atime = std::fs::metadata(dir.join(name).with_extension("atime"))
-                .and_then(|m| m.modified())
-                .or_else(|_| meta.modified())
-                .unwrap_or(SystemTime::UNIX_EPOCH);
-            entries.push((atime, name.to_owned(), meta.len()));
+            let stamp = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
+            entries.push((stamp, name.to_owned(), meta.len()));
         }
         stats.entries = entries.len() as u64;
         stats.bytes = entries.iter().map(|(_, _, len)| len).sum();
@@ -563,7 +542,6 @@ impl AnalysisStore {
             }
             let path = dir.join(&name);
             if std::fs::remove_file(&path).is_ok() {
-                let _ = std::fs::remove_file(path.with_extension("atime"));
                 live -= len;
                 stats.evicted += 1;
                 stats.freed_bytes += len;
@@ -601,7 +579,7 @@ impl AnalysisStore {
 impl Drop for AnalysisStore {
     fn drop(&mut self) {
         // A clean shutdown persists every journaled read; a crash
-        // skips this and GC degrades to the mtime fallback.
+        // skips this and GC ranks those entries by their older stamp.
         self.flush_atimes();
     }
 }
@@ -680,8 +658,8 @@ impl DiskStats {
 }
 
 /// Whether `name` is a well-formed cache entry file name
-/// (`{key_hash:016x}-{config_fp:016x}.json`). `.tmp` leftovers,
-/// `.atime` sidecars, and `.quarantine`d corrupt entries all fail this.
+/// (`{key_hash:016x}-{config_fp:016x}.json`). `.tmp` leftovers and
+/// `.quarantine`d corrupt entries both fail this.
 fn is_entry_name(name: &str) -> bool {
     let Some(stem) = name.strip_suffix(".json") else {
         return false;
@@ -697,8 +675,8 @@ fn is_entry_name(name: &str) -> bool {
 }
 
 /// Scans `dir` for cache entries. Files that are not well-formed cache
-/// names — including `.tmp` leftovers, `.atime` sidecars, and
-/// `.quarantine`d corrupt entries — are ignored.
+/// names — including `.tmp` leftovers and `.quarantine`d corrupt
+/// entries — are ignored.
 fn scan_disk(dir: &Path) -> DiskStats {
     let mut stats = DiskStats::new();
     let Ok(entries) = std::fs::read_dir(dir) else {
@@ -795,6 +773,33 @@ mod tests {
             summary_seed: Default::default(),
             report,
         }
+    }
+
+    /// The disk-tier report for `key`, provided it was recorded for
+    /// exactly `bundle_fp`: a whole-report hit.
+    fn disk_hit(
+        store: &AnalysisStore,
+        key: &str,
+        bundle_fp: u64,
+        config_fp: u64,
+        obs: &Obs,
+    ) -> Option<AppReport> {
+        let (stored_fp, report) = store.lookup_disk_any(key, config_fp, obs)?;
+        (stored_fp == bundle_fp).then_some(report)
+    }
+
+    /// Sets the mtime of `path` (the LRU stamp of a disk-tier entry).
+    fn set_mtime(path: &Path, stamp: SystemTime) {
+        let f = std::fs::File::options().write(true).open(path).unwrap();
+        f.set_modified(stamp).unwrap();
+    }
+
+    fn mtime(path: &Path) -> SystemTime {
+        std::fs::metadata(path).unwrap().modified().unwrap()
+    }
+
+    fn at(secs: u64) -> SystemTime {
+        SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(secs)
     }
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -923,19 +928,19 @@ mod tests {
         let store = AnalysisStore::with_options(8, Some(dir.clone()));
         let obs = Obs::disabled();
         store.insert("app.d", entry(7, "app.d"), &obs);
-        let hit = store.lookup_disk("app.d", 7, 42, &obs).unwrap();
+        let hit = disk_hit(&store, "app.d", 7, 42, &obs).unwrap();
         assert_eq!(hit.stats.package, "app.d");
         assert!(
-            store.lookup_disk("app.d", 8, 42, &obs).is_none(),
+            disk_hit(&store, "app.d", 8, 42, &obs).is_none(),
             "bundle moved"
         );
         assert!(
-            store.lookup_disk("app.d", 7, 43, &obs).is_none(),
+            disk_hit(&store, "app.d", 7, 43, &obs).is_none(),
             "config moved"
         );
         // Corrupt file: miss, not error.
         std::fs::write(disk_path(&dir, "app.d", 42), "{not json").unwrap();
-        assert!(store.lookup_disk("app.d", 7, 42, &obs).is_none());
+        assert!(disk_hit(&store, "app.d", 7, 42, &obs).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -946,7 +951,7 @@ mod tests {
         let obs = Obs::disabled();
         store.insert("app.v", entry(7, "app.v"), &obs);
         // The strict lookup under the *new* bundle misses...
-        assert!(store.lookup_disk("app.v", 8, 42, &obs).is_none());
+        assert!(disk_hit(&store, "app.v", 8, 42, &obs).is_none());
         // ...but the any-lookup recovers the previous version's report
         // and says which bundle it belonged to.
         let (stored_fp, report) = store.lookup_disk_any("app.v", 42, &obs).unwrap();
@@ -966,7 +971,7 @@ mod tests {
 
         // First lookup: miss, file moved out of the cache namespace,
         // counter bumped on both the per-app obs and the store registry.
-        assert!(store.lookup_disk("app.q", 9, 42, &obs).is_none());
+        assert!(disk_hit(&store, "app.q", 9, 42, &obs).is_none());
         assert!(!path.exists(), "corrupt file left in the cache namespace");
         assert!(
             path.with_extension("quarantine").exists(),
@@ -988,7 +993,7 @@ mod tests {
 
         // Second lookup: plain miss — the bad file is gone, so it is
         // neither re-read nor re-quarantined.
-        assert!(store.lookup_disk("app.q", 9, 42, &obs).is_none());
+        assert!(disk_hit(&store, "app.q", 9, 42, &obs).is_none());
         assert_eq!(
             obs.metrics.snapshot().counters["svc.cache.corrupt_evict"],
             1
@@ -1006,7 +1011,7 @@ mod tests {
 
         // Stale: well-formed entry for a different bundle — left on
         // disk (the next insert overwrites it), no quarantine.
-        assert!(store.lookup_disk("app.s", 6, 42, &obs).is_none());
+        assert!(disk_hit(&store, "app.s", 6, 42, &obs).is_none());
         assert!(path.exists(), "stale entries stay for overwrite");
         assert!(!obs
             .metrics
@@ -1022,7 +1027,7 @@ mod tests {
             }
         }
         std::fs::write(&path, serde_json::to_string(&v).unwrap()).unwrap();
-        assert!(store.lookup_disk("app.s", 5, 42, &obs).is_none());
+        assert!(disk_hit(&store, "app.s", 5, 42, &obs).is_none());
         assert!(!path.exists(), "undecodable entry quarantined");
         assert_eq!(
             obs.metrics.snapshot().counters["svc.cache.corrupt_evict"],
@@ -1040,15 +1045,10 @@ mod tests {
             store.insert(key, entry(i as u64, key), &obs);
         }
         // Deterministic recency: give old/mid/new strictly increasing
-        // atime stamps via explicit sidecar mtimes (filesystem clocks
-        // are too coarse to rely on insert order).
+        // entry mtimes (filesystem clocks are too coarse to rely on
+        // insert order).
         for (age, key) in ["app.old", "app.mid", "app.new"].iter().enumerate() {
-            let sidecar = disk_path(&dir, key, 42).with_extension("atime");
-            std::fs::write(&sidecar, b"").unwrap();
-            let stamp = std::time::SystemTime::UNIX_EPOCH
-                + std::time::Duration::from_secs(1_000_000 + age as u64 * 100);
-            let f = std::fs::File::options().write(true).open(&sidecar).unwrap();
-            f.set_modified(stamp).unwrap();
+            set_mtime(&disk_path(&dir, key, 42), at(1_000_000 + age as u64 * 100));
         }
         let one_entry = std::fs::metadata(disk_path(&dir, "app.old", 42))
             .unwrap()
@@ -1060,12 +1060,8 @@ mod tests {
         assert!(stats.freed_bytes > 0);
         assert!(!disk_path(&dir, "app.old", 42).exists(), "LRU evicted");
         assert!(disk_path(&dir, "app.new", 42).exists());
-        assert!(
-            !disk_path(&dir, "app.old", 42)
-                .with_extension("atime")
-                .exists(),
-            "sidecar evicted with its entry"
-        );
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().flatten().collect();
+        assert_eq!(left.len(), 2, "eviction leaves no file behind");
         let snap = store.metrics().snapshot();
         assert_eq!(snap.counters["svc.cache.gc_runs"], 1);
         assert_eq!(snap.counters["svc.cache.gc_evicted"], 1);
@@ -1079,26 +1075,29 @@ mod tests {
     }
 
     #[test]
-    fn disk_reads_journal_the_atime_and_flush_writes_the_sidecar() {
+    fn disk_reads_journal_the_atime_and_flush_stamps_the_entry() {
         let dir = tmpdir("atime");
         let store = AnalysisStore::with_options(8, Some(dir.clone()));
         let obs = Obs::disabled();
         store.insert("app.t", entry(3, "app.t"), &obs);
-        let sidecar = disk_path(&dir, "app.t", 42).with_extension("atime");
-        assert!(store.lookup_disk("app.t", 3, 42, &obs).is_some());
-        assert!(
-            !sidecar.exists(),
-            "the hit path must not do sidecar I/O — the read is journaled"
+        let path = disk_path(&dir, "app.t", 42);
+        set_mtime(&path, at(1_000_000));
+        assert!(disk_hit(&store, "app.t", 3, 42, &obs).is_some());
+        assert_eq!(
+            mtime(&path),
+            at(1_000_000),
+            "the hit path must not stamp the entry — the read is journaled"
         );
         assert_eq!(store.journaled_atimes(), 1);
         store.flush_atimes();
-        assert!(sidecar.exists(), "flush materialized the sidecar");
+        assert!(mtime(&path) > at(1_000_000), "flush stamped the entry");
         assert_eq!(store.journaled_atimes(), 0, "flush drained the journal");
         assert_eq!(
-            store.disk_stats().entries,
+            std::fs::read_dir(&dir).unwrap().count(),
             1,
-            "sidecars are not cache entries"
+            "the flush creates no file"
         );
+        assert_eq!(store.disk_stats().entries, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1107,33 +1106,40 @@ mod tests {
         let dir = tmpdir("flushorder");
         let store = AnalysisStore::with_options(8, Some(dir.clone()));
         let obs = Obs::disabled();
-        for key in ["app.first", "app.second", "app.gone"] {
+        for key in ["app.first", "app.second", "app.gone", "app.rewritten"] {
             store.insert(key, entry(1, key), &obs);
+            set_mtime(&disk_path(&dir, key, 42), at(1_000_000));
         }
         // Journal reads with explicit, strictly increasing stamps.
         for (age, key) in ["app.first", "app.second"].iter().enumerate() {
             let path = disk_path(&dir, key, 42);
-            let stamp = std::time::SystemTime::UNIX_EPOCH
-                + std::time::Duration::from_secs(2_000_000 + age as u64 * 100);
-            lock_plain(&store.atime_journal).insert(path, stamp);
+            lock_plain(&store.atime_journal).insert(path, at(2_000_000 + age as u64 * 100));
         }
         // A journaled entry that was evicted before the flush must not
-        // come back as an orphan sidecar.
+        // come back.
         let gone = disk_path(&dir, "app.gone", 42);
         lock_plain(&store.atime_journal).insert(gone.clone(), SystemTime::now());
         std::fs::remove_file(&gone).unwrap();
+        // An entry written after its journaled read keeps the later
+        // write stamp.
+        let rewritten = disk_path(&dir, "app.rewritten", 42);
+        lock_plain(&store.atime_journal).insert(rewritten.clone(), at(2_000_000));
+        set_mtime(&rewritten, at(3_000_000));
         store.flush_atimes();
-        assert!(!gone.with_extension("atime").exists(), "no orphan sidecar");
-        let mtime = |key: &str| {
-            std::fs::metadata(disk_path(&dir, key, 42).with_extension("atime"))
-                .unwrap()
-                .modified()
-                .unwrap()
-        };
-        assert!(
-            mtime("app.first") < mtime("app.second"),
+        assert!(!gone.exists(), "a vanished entry is not recreated");
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            3,
+            "the flush creates no file"
+        );
+        let stamp = |key: &str| mtime(&disk_path(&dir, key, 42));
+        assert_eq!(stamp("app.first"), at(2_000_000));
+        assert_eq!(
+            stamp("app.second"),
+            at(2_000_100),
             "flush reproduced the journaled stamps exactly"
         );
+        assert_eq!(stamp("app.rewritten"), at(3_000_000), "never moved back");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1160,7 +1166,7 @@ mod tests {
         let corrupt_len = 7u64;
         std::fs::write(&path, "corrupt").unwrap();
         let before = store.disk_occupancy();
-        assert!(store.lookup_disk("app.a", 3, 42, &obs).is_none());
+        assert!(disk_hit(&store, "app.a", 3, 42, &obs).is_none());
         assert_eq!(store.disk_occupancy(), before - corrupt_len);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1219,8 +1225,7 @@ mod tests {
         // The disk tier still records the insert (and only the insert).
         assert_eq!(store.disk_stats().entries, 1);
         assert_eq!(
-            store
-                .lookup_disk("app.n", 5, 42, &obs)
+            disk_hit(&store, "app.n", 5, 42, &obs)
                 .unwrap()
                 .stats
                 .package,

@@ -121,7 +121,7 @@ fn no_cache_mode_stores_nothing_and_matches_cached_output() {
     let (_, items) = suite(4, 1, 7);
     let plain = AnalysisService::new(
         ServiceOptions {
-            no_cache: true,
+            mem_budget: Some(0),
             ..ServiceOptions::default()
         },
         Obs::disabled(),
@@ -140,6 +140,93 @@ fn no_cache_mode_stores_nothing_and_matches_cached_output() {
     assert_eq!(cached.store().len(), 4);
 }
 
+/// The cache ladder in every service shape — memory tier, memory plus
+/// disk, disk only, no tier — over a cold batch, an identical
+/// resubmission and a churned one: every report renders the cold bytes,
+/// a hit carries the same reuse stats whichever tier served it, and
+/// only a memory tier replays class prefixes.
+#[test]
+fn every_service_shape_serves_the_cold_bytes() {
+    let (specs, v1) = suite(8, 4, 2016);
+    let v2: Vec<(String, Vec<u8>)> = specs
+        .iter()
+        .map(|s| {
+            let e = evolve(s, 0.10, 7);
+            (s.package.clone(), generate_with_bulk(&e.spec, 4).to_bytes())
+        })
+        .collect();
+    let renders = |outcomes: &[nck_svc::AppOutcome]| -> Vec<String> {
+        outcomes
+            .iter()
+            .map(|o| render(o.report.as_ref().expect("app analyzes")))
+            .collect()
+    };
+    let tierless = || {
+        AnalysisService::new(
+            ServiceOptions {
+                mem_budget: Some(0),
+                ..ServiceOptions::default()
+            },
+            Obs::disabled(),
+        )
+    };
+    let cold_v1 = renders(&tierless().analyze_batch(&v1));
+    let cold_v2 = renders(&tierless().analyze_batch(&v2));
+
+    let dir = std::env::temp_dir().join(format!("nck-svc-ladder-{}", std::process::id()));
+    let mut hit_reuse = Vec::new();
+    for (shape, mem_budget, disk) in [
+        ("memory", None, false),
+        ("memory+disk", None, true),
+        ("disk", Some(0), true),
+        ("none", Some(0), false),
+    ] {
+        let _ = std::fs::remove_dir_all(&dir);
+        let svc = AnalysisService::new(
+            ServiceOptions {
+                mem_budget,
+                cache_dir: disk.then(|| dir.clone()),
+                ..ServiceOptions::default()
+            },
+            Obs::disabled(),
+        );
+        let cached = mem_budget.is_none() || disk;
+        let cold = svc.analyze_batch(&v1);
+        let same = svc.analyze_batch(&v1);
+        let churned = svc.analyze_batch(&v2);
+        assert_eq!(renders(&cold), cold_v1, "{shape}: cold");
+        assert_eq!(renders(&same), cold_v1, "{shape}: identical resubmission");
+        assert_eq!(renders(&churned), cold_v2, "{shape}: churned resubmission");
+
+        let n = v1.len();
+        assert_eq!(AnalysisService::batch_stats(&cold).misses, n, "{shape}");
+        let hits = AnalysisService::batch_stats(&same).hits;
+        assert_eq!(hits, if cached { n } else { 0 }, "{shape}: hits");
+        assert_eq!(AnalysisService::batch_stats(&churned).misses, n, "{shape}");
+        if cached {
+            hit_reuse.extend(same.iter().map(|o| (shape, o.reuse)));
+        }
+        for o in &churned {
+            assert_eq!(o.delta.is_some(), cached, "{shape}: a known key diffs");
+        }
+        let replayed = churned
+            .iter()
+            .map(|o| o.reuse.classes_reused)
+            .sum::<usize>();
+        if mem_budget.is_none() {
+            assert!(replayed > 0, "{shape}: a memory tier replays prefixes");
+        } else {
+            assert_eq!(replayed, 0, "{shape}: no memory tier, no replay");
+        }
+    }
+    let (_, first) = hit_reuse[0];
+    assert!(first.whole_report);
+    for (shape, reuse) in &hit_reuse {
+        assert_eq!(*reuse, first, "{shape}: one hit shape for every tier");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Worker-count independence: the batch pool, the intra-app parallel
 /// method-analysis phase, and the parallel SCC summary levels must all
 /// be invisible in the output. Four runs at different `--jobs` settings
@@ -152,7 +239,7 @@ fn reports_are_byte_identical_across_jobs() {
         let svc = AnalysisService::new(
             ServiceOptions {
                 jobs: Some(jobs),
-                no_cache: true,
+                mem_budget: Some(0),
                 ..ServiceOptions::default()
             },
             Obs::disabled(),
@@ -257,6 +344,16 @@ fn targeted_and_full_mode_never_share_cache_entries() {
     let stats = AnalysisService::batch_stats(&cold_targeted);
     assert_eq!(stats.hits, 0, "full-mode cache must not serve targeted");
     assert_eq!(stats.misses, 4);
+    // Targeted misses run the plain pipeline even with a memory tier:
+    // their entries hold the report, no replay seeds.
+    for (key, _) in &items {
+        let entry = targeted
+            .store()
+            .lookup(key, &Obs::disabled())
+            .expect("targeted miss recorded in memory");
+        assert!(entry.class_fps.is_empty(), "{key}: no class fingerprints");
+        assert!(entry.analyses.is_empty(), "{key}: no method analyses");
+    }
     drop(targeted);
 
     // Targeted entries were written under their own key: a fresh

@@ -3,8 +3,8 @@
 //! rendering, warm worker fleets), every warm surface must still be
 //! byte-identical to a cold analysis of the same bytes — including
 //! after a crash-restart that loses the unflushed atime journal, where
-//! GC degrades to the entry-mtime fallback and must never evict
-//! *wrongly* (only rank by an older stamp).
+//! GC ranks those entries by their older mtime stamps and must never
+//! evict *wrongly*.
 
 use nck_appgen::generate_with_bulk;
 use nck_appgen::profile;
@@ -43,10 +43,21 @@ fn suite(n: usize, seed: u64) -> Vec<(String, Vec<u8>)> {
         .collect()
 }
 
+/// Every file of a cache directory with its mtime, by name.
+fn entry_mtimes(dir: &std::path::Path) -> Vec<(std::ffi::OsString, std::time::SystemTime)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .flatten()
+        .map(|e| (e.file_name(), e.metadata().unwrap().modified().unwrap()))
+        .collect();
+    files.sort();
+    files
+}
+
 fn cold_renders(items: &[(String, Vec<u8>)]) -> Vec<String> {
     let reference = AnalysisService::new(
         ServiceOptions {
-            no_cache: true,
+            mem_budget: Some(0),
             ..ServiceOptions::default()
         },
         Obs::disabled(),
@@ -91,8 +102,8 @@ fn memory_and_disk_warm_paths_are_byte_identical_to_cold() {
     drop(svc); // clean shutdown: flushes the (empty) journal
 
     // Process 2: every app is a disk hit. The hit path must journal
-    // the reads (no sidecar I/O inline) and promote each entry into
-    // the memory tier.
+    // the reads (no stamping inline) and promote each entry into the
+    // memory tier.
     let svc = AnalysisService::new(
         ServiceOptions {
             cache_dir: Some(dir.clone()),
@@ -106,7 +117,7 @@ fn memory_and_disk_warm_paths_are_byte_identical_to_cold() {
     assert_eq!(
         svc.store().journaled_atimes(),
         items.len(),
-        "disk hits land in the journal, not in sidecar files"
+        "disk hits land in the journal, not on the entry files"
     );
     assert_eq!(
         svc.store().len(),
@@ -138,7 +149,7 @@ fn crash_restart_with_unflushed_journal_degrades_to_mtime_without_wrong_eviction
 
     // Populate, then restart and read everything — the reads sit in
     // the journal only. `mem::forget` simulates the crash: Drop never
-    // runs, the journal is lost, no sidecar was ever written.
+    // runs, the journal is lost, no entry was ever stamped.
     {
         let svc = AnalysisService::new(
             ServiceOptions {
@@ -149,6 +160,8 @@ fn crash_restart_with_unflushed_journal_degrades_to_mtime_without_wrong_eviction
         );
         let _ = svc.analyze_batch(&items);
     }
+    let written = entry_mtimes(&dir);
+    assert_eq!(written.len(), items.len());
     let svc = AnalysisService::new(
         ServiceOptions {
             cache_dir: Some(dir.clone()),
@@ -160,14 +173,14 @@ fn crash_restart_with_unflushed_journal_degrades_to_mtime_without_wrong_eviction
     assert_eq!(AnalysisService::batch_stats(&warm).hits, items.len());
     assert_eq!(svc.store().journaled_atimes(), items.len());
     std::mem::forget(svc);
-    let sidecars = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .filter(|e| e.path().extension().is_some_and(|x| x == "atime"))
-        .count();
-    assert_eq!(sidecars, 0, "the crash lost every journaled read");
+    assert_eq!(
+        entry_mtimes(&dir),
+        written,
+        "the crash lost every journaled read"
+    );
 
-    // Restart after the crash: GC must degrade to the mtime fallback —
+    // Restart after the crash: GC ranks by the unflushed entries' older
+    // stamps —
     // it evicts *by budget*, never corrupts, and every surviving entry
     // still serves bytes identical to cold.
     let svc = AnalysisService::new(
@@ -208,7 +221,7 @@ fn daemon_report_verb_serves_identical_bytes_through_the_render_cell() {
     let one_shot = {
         let svc = AnalysisService::new(
             ServiceOptions {
-                no_cache: true,
+                mem_budget: Some(0),
                 ..ServiceOptions::default()
             },
             Obs::disabled(),

@@ -262,6 +262,11 @@ grep -q "0 restart(s), 2 spawned, 0 reused" "$vet_dir/vet-churn.log" \
     || { echo "vet smoke: worker fleet was not spawned exactly once"; \
          cat "$vet_dir/vet-churn.log"; exit 1; }
 echo "vet fleet ok: 2 workers spawned once, 0 respawns on the clean path"
+# Disk hits stamp LRU recency on the entry files themselves: the cache
+# directory holds no per-entry sidecar files.
+atime_files="$(find "$vet_dir/cache" -name '*.atime')"
+[ -z "$atime_files" ] \
+    || { echo "vet smoke: cache dir holds .atime sidecars:"; echo "$atime_files"; exit 1; }
 python3 - "$vet_dir/deltas.jsonl" <<'EOF'
 import json, sys
 
