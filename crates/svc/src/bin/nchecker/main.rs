@@ -20,7 +20,7 @@ use nchecker::{AppReport, CheckerConfig};
 use nck_obs::{Events, JsonObj, JsonlSink, Level, Metrics, Obs, PhaseTotals, Series, Tracer};
 use nck_svc::{
     daemon, doctor, AnalysisService, AnalysisStore, Daemon, DaemonOptions, OrchestratorOptions,
-    ServiceOptions, Watcher,
+    ServiceOptions, Watcher, WorkerFleet,
 };
 use std::io::Write;
 use std::path::Path;
@@ -487,17 +487,26 @@ fn vet_main(cli: Cli) -> ExitCode {
         worker_cmd,
         ..defaults
     };
-    let outcome = nck_svc::vet(&options, &paths);
+    let mut fleet = WorkerFleet::new(options.clone());
+    let outcome = fleet.vet(&paths);
 
     // stdout: the workers' reports in input order — the same bytes a
-    // single-process `nchecker --json` run over these paths prints.
-    if !cli.summary {
+    // single-process `nchecker --json` run over these paths prints —
+    // written before the workers stop, so a reader sees them while the
+    // workers still flush their caches.
+    let printed = cli.summary || {
         let mut stdout = std::io::stdout().lock();
-        for report in outcome.reports.iter().flatten() {
-            if stdout.write_all(report.as_bytes()).is_err() {
-                return ExitCode::from(EXIT_FAILED);
-            }
-        }
+        outcome
+            .reports
+            .iter()
+            .flatten()
+            .try_for_each(|report| stdout.write_all(report.as_bytes()))
+            .and_then(|()| stdout.flush())
+            .is_ok()
+    };
+    fleet.shutdown();
+    if !printed {
+        return ExitCode::from(EXIT_FAILED);
     }
 
     let mut failures = 0usize;

@@ -6,7 +6,8 @@
 //! thread drains the queue in batches onto the work-stealing pool;
 //! finished jobs keep their rendered report — the *exact* bytes the
 //! one-shot CLI would print under `--json` — until they age out of
-//! retention.
+//! retention. A client either polls for it (`report`) or blocks on it
+//! (`fetch`, woken when the dispatcher finishes the job's batch).
 //!
 //! Admission control is explicit: a submit against a full queue is
 //! rejected with a typed `queue-full` reply (never blocked, never
@@ -42,8 +43,8 @@ use std::time::Instant;
 /// Default bound on the request queue.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
 
-/// Finished jobs retained for `report` fetches; older ones age out
-/// (a later `report` gets `not-found`).
+/// Finished jobs retained for `report` and `fetch`; older ones age out
+/// (a later request gets `not-found`).
 pub const DONE_RETENTION: usize = 1024;
 
 /// Queue-wait histogram bounds, in microseconds: 100µs to 10min. The
@@ -108,6 +109,35 @@ struct Job {
     defects: usize,
 }
 
+impl Job {
+    fn finished(&self) -> bool {
+        matches!(self.phase, Phase::Done | Phase::Failed)
+    }
+}
+
+/// The reply to `verb` about a finished job, shared by `report` and
+/// `fetch`: the header fields and the job's report text, or the typed
+/// error of a failed job. Each verb adds its payload its own way.
+fn finished_reply(verb: &str, id: u64, job: &Job) -> Result<(Value, Arc<String>), ProtocolError> {
+    if job.phase != Phase::Done {
+        return Err((
+            ErrorCode::AnalysisFailed,
+            job.error.as_deref().unwrap_or("analysis failed").to_owned(),
+        ));
+    }
+    let header = json!({
+        "ok": true,
+        "verb": verb,
+        "id": id,
+        "key": job.key,
+        "degraded": job.degraded,
+        "defects": job.defects,
+        // Null on first submission.
+        "delta": job.delta.clone().unwrap_or(Value::Null),
+    });
+    Ok((header, job.report_json.clone().unwrap_or_default()))
+}
+
 struct State {
     queue: VecDeque<u64>,
     jobs: BTreeMap<u64, Job>,
@@ -145,11 +175,15 @@ impl State {
     }
 }
 
-/// One protocol reply: the wire line plus whether the connection (and
-/// daemon) should begin shutting down after it is written.
+/// One protocol reply: the wire line, the raw frame that follows it
+/// (`fetch` only), and whether the connection (and daemon) should
+/// begin shutting down after it is written.
 pub struct Reply {
     /// The one-line reply, newline included.
     pub line: String,
+    /// Bytes written verbatim after `line`; the line's `"bytes"` field
+    /// holds their length.
+    pub payload: Option<Arc<String>>,
     /// `true` after a `shutdown` verb was accepted.
     pub shutdown: bool,
 }
@@ -158,6 +192,7 @@ impl Reply {
     fn plain(v: &Value) -> Reply {
         Reply {
             line: protocol::render_reply(v),
+            payload: None,
             shutdown: false,
         }
     }
@@ -165,8 +200,18 @@ impl Reply {
     fn error(code: ErrorCode, message: &str) -> Reply {
         Reply {
             line: protocol::error_line(code, message),
+            payload: None,
             shutdown: false,
         }
+    }
+
+    /// Writes the line and its frame, then flushes.
+    pub fn write_to<W: Write>(&self, writer: &mut W) -> io::Result<()> {
+        writer.write_all(self.line.as_bytes())?;
+        if let Some(payload) = &self.payload {
+            writer.write_all(payload.as_bytes())?;
+        }
+        writer.flush()
     }
 }
 
@@ -182,6 +227,8 @@ pub struct Daemon {
     state: Mutex<State>,
     /// Signals the dispatcher: work arrived or shutdown began.
     work: Condvar,
+    /// Signals `fetch` waiters: a batch of jobs finished.
+    finished: Condvar,
     /// Signals drain waiters: the dispatcher exited.
     idle: Condvar,
 }
@@ -207,6 +254,7 @@ impl Daemon {
             metrics: Metrics::enabled(),
             state: Mutex::new(State::new()),
             work: Condvar::new(),
+            finished: Condvar::new(),
             idle: Condvar::new(),
         }
     }
@@ -300,7 +348,7 @@ impl Daemon {
         let ids: Vec<u64> = st
             .jobs
             .iter()
-            .filter(|(_, j)| j.key == key && matches!(j.phase, Phase::Done | Phase::Failed))
+            .filter(|(_, j)| j.key == key && j.finished())
             .map(|(id, _)| *id)
             .collect();
         for id in &ids {
@@ -404,6 +452,7 @@ impl Daemon {
         }
         st.inflight = 0;
         self.metrics.gauge("svc.queue.inflight", 0);
+        self.finished.notify_all();
     }
 
     fn finish_job(&self, st: &mut State, id: u64, outcome: crate::service::AppOutcome) {
@@ -517,29 +566,50 @@ impl Daemon {
                 let st = self.state.lock().expect("daemon state");
                 match st.jobs.get(&id) {
                     None => Reply::error(ErrorCode::NotFound, &format!("no job {id}")),
-                    Some(job) => match job.phase {
-                        Phase::Queued | Phase::Running => Reply::error(
-                            ErrorCode::NotReady,
-                            &format!("job {id} is {}", job.phase.tag()),
-                        ),
-                        Phase::Failed => Reply::error(
-                            ErrorCode::AnalysisFailed,
-                            job.error.as_deref().unwrap_or("analysis failed"),
-                        ),
-                        Phase::Done => Reply::plain(&json!({
-                            "ok": true,
-                            "verb": "report",
-                            "id": id,
-                            "key": job.key,
-                            "degraded": job.degraded,
-                            "defects": job.defects,
-                            // The report string stays byte-identical to
-                            // one-shot --json; the delta rides alongside
-                            // (null on first submission).
-                            "delta": job.delta.clone().unwrap_or(Value::Null),
-                            "report": job.report_json.as_deref().map_or("", String::as_str),
-                        })),
+                    Some(job) if !job.finished() => Reply::error(
+                        ErrorCode::NotReady,
+                        &format!("job {id} is {}", job.phase.tag()),
+                    ),
+                    Some(job) => match finished_reply("report", id, job) {
+                        // The report string stays byte-identical to
+                        // one-shot --json once unescaped.
+                        Ok((mut v, text)) => {
+                            if let Value::Object(m) = &mut v {
+                                m.insert("report".to_owned(), Value::String(text.to_string()));
+                            }
+                            Reply::plain(&v)
+                        }
+                        Err((code, msg)) => Reply::error(code, &msg),
                     },
+                }
+            }
+            Request::Fetch { id } => {
+                // Blocks this connection until the dispatcher finishes
+                // the job; only `run_batch` moves a job out of queued or
+                // running, and it signals `finished` when it does.
+                let mut st = self.state.lock().expect("daemon state");
+                loop {
+                    match st.jobs.get(&id) {
+                        None => return Reply::error(ErrorCode::NotFound, &format!("no job {id}")),
+                        Some(job) if !job.finished() => {
+                            st = self.finished.wait(st).expect("daemon state");
+                        }
+                        Some(job) => {
+                            return match finished_reply("fetch", id, job) {
+                                Ok((mut v, text)) => {
+                                    if let Value::Object(m) = &mut v {
+                                        m.insert("bytes".to_owned(), json!(text.len()));
+                                    }
+                                    Reply {
+                                        line: protocol::render_reply(&v),
+                                        payload: Some(text),
+                                        shutdown: false,
+                                    }
+                                }
+                                Err((code, msg)) => Reply::error(code, &msg),
+                            };
+                        }
+                    }
                 }
             }
             Request::Doctor => Reply::plain(&json!({
@@ -555,6 +625,7 @@ impl Daemon {
                         "verb": "shutdown",
                         "pending": pending,
                     })),
+                    payload: None,
                     shutdown: true,
                 }
             }
@@ -633,7 +704,7 @@ pub fn serve_connection(daemon: &Daemon, stream: UnixStream) -> bool {
         let Some(reply) = daemon.handle_line(&line) else {
             return false;
         };
-        if writer.write_all(reply.line.as_bytes()).is_err() || writer.flush().is_err() {
+        if reply.write_to(&mut writer).is_err() {
             return reply.shutdown;
         }
         if reply.shutdown {
@@ -680,8 +751,7 @@ pub fn serve_lines<R: BufRead, W: Write>(
         let Some(reply) = daemon.handle_line(&line) else {
             break;
         };
-        writer.write_all(reply.line.as_bytes())?;
-        writer.flush()?;
+        reply.write_to(writer)?;
         if reply.shutdown {
             break;
         }

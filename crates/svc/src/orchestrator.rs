@@ -15,11 +15,13 @@
 //! Reliability is the orchestrator's job, not the workers':
 //!
 //! - **Crash-restart** — a worker that dies mid-chunk (EOF on its
-//!   stdout, a write failure, a malformed reply) is killed, respawned,
-//!   and the chunk's unfinished items are resubmitted, up to
-//!   [`OrchestratorOptions::max_restarts`] per shard. The shared disk
-//!   cache makes resubmission cheap: items the dead worker finished
-//!   writing are whole-report hits the second time.
+//!   stdout, a write failure, a malformed reply or a short frame) is
+//!   killed, respawned, and the chunk's unfinished items are
+//!   resubmitted, up to [`OrchestratorOptions::max_restarts`] per
+//!   shard. The shared disk cache makes resubmission cheap: items the
+//!   dead worker finished writing are whole-report hits the second
+//!   time. A submit reply that is neither a job id nor a typed error
+//!   counts as a dead worker too, so no item is left without a result.
 //! - **Straggler detection** — a shard still running after
 //!   `straggler_factor ×` the median completed-shard wall time is
 //!   flagged in [`VetOutcome::stragglers`] (detection, not preemption:
@@ -28,8 +30,15 @@
 //!   / completed / failed counts, restarts, and wall time, so a vetting
 //!   run's summary names the shard that misbehaved.
 //!
+//! Transport: each chunk of submits goes out in one write, then the
+//! chunk's `fetch` requests go out in one write, and the orchestrator
+//! reads one raw frame per job back in order. A `fetch` blocks in the
+//! worker until the job finishes, so a shard thread never polls or
+//! sleeps, and the frame's payload is the report bytes themselves,
+//! never escaped into a JSON string and parsed back out.
+//!
 //! Output discipline: results land in input-order slots, and the
-//! report string for each app is the daemon's `report` verb payload —
+//! report string for each app is the daemon's `fetch` frame payload —
 //! which the daemon guarantees is byte-identical to one-shot
 //! `--json` output. Concatenating [`VetOutcome::reports`] therefore
 //! reproduces exactly what a single `nchecker --json` run over the
@@ -44,10 +53,9 @@
 //! the normal restart path. The one-shot [`vet`] entry point wraps a
 //! fleet around a single round and shuts it down.
 
-use crate::protocol;
 use serde_json::Value;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -190,12 +198,14 @@ impl Worker {
         })
     }
 
-    /// One request/reply round trip. The daemon replies serially in
+    /// Writes `reqs` in one flush. The daemon replies serially in
     /// request order, so pipelined callers read replies in send order.
-    fn send(&mut self, req: &Value) -> std::io::Result<()> {
-        let line = serde_json::to_string(req).expect("request serializes");
-        self.stdin.write_all(line.as_bytes())?;
-        self.stdin.write_all(b"\n")?;
+    fn send_all(&mut self, reqs: impl IntoIterator<Item = Value>) -> std::io::Result<()> {
+        for req in reqs {
+            let line = serde_json::to_string(&req).expect("request serializes");
+            self.stdin.write_all(line.as_bytes())?;
+            self.stdin.write_all(b"\n")?;
+        }
         self.stdin.flush()
     }
 
@@ -203,46 +213,46 @@ impl Worker {
         let mut line = String::new();
         let n = self.stdout.read_line(&mut line)?;
         if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "worker closed its stdout",
-            ));
+            return Err(dead("worker closed its stdout"));
         }
-        serde_json::from_str(&line).map_err(|e| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("malformed worker reply: {e}"),
-            )
-        })
+        serde_json::from_str(&line).map_err(|e| dead(&format!("malformed worker reply: {e}")))
     }
 
-    fn rpc(&mut self, req: &Value) -> std::io::Result<Value> {
-        self.send(req)?;
-        self.recv()
-    }
-
-    /// Graceful stop: `shutdown` verb, then reap. Kill as the fallback
-    /// so a wedged worker cannot hang the orchestrator.
-    fn shutdown(mut self) {
-        let _ = self.rpc(&serde_json::json!({"verb": "shutdown"}));
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            match self.child.try_wait() {
-                Ok(Some(_)) => return,
-                Ok(None) if Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(10))
-                }
-                _ => break,
-            }
+    /// The `bytes`-long raw frame after a `fetch` header. Reads through
+    /// `take`, so a header that overstates its length costs at most
+    /// the bytes actually received before the short read is caught.
+    fn recv_frame(&mut self, bytes: u64) -> std::io::Result<String> {
+        let mut buf = Vec::new();
+        (&mut self.stdout).take(bytes).read_to_end(&mut buf)?;
+        if buf.len() as u64 != bytes {
+            return Err(dead(&format!(
+                "short frame: {} of {bytes} bytes",
+                buf.len()
+            )));
         }
-        let _ = self.child.kill();
-        let _ = self.child.wait();
+        String::from_utf8(buf).map_err(|_| dead("frame payload is not UTF-8"))
     }
 
     fn kill(mut self) {
         let _ = self.child.kill();
         let _ = self.child.wait();
     }
+}
+
+/// The error that marks a worker connection unusable: the caller
+/// kills and respawns the worker.
+fn dead(msg: &str) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_owned())
+}
+
+/// A typed error reply's code and message, or `None` when the reply is
+/// not one.
+fn typed_error(reply: &Value) -> Option<(&str, &str)> {
+    if reply["ok"].as_bool() != Some(false) {
+        return None;
+    }
+    let code = reply["error"]["code"].as_str()?;
+    Some((code, reply["error"]["message"].as_str().unwrap_or("")))
 }
 
 /// What one input ended as, inside a shard.
@@ -362,83 +372,62 @@ fn run_shard(
     (results, usage)
 }
 
-/// One pipelined chunk: submit everything, then resolve each id to a
-/// report. `Err` means the worker connection is unusable (caller
-/// restarts); per-item analysis failures are recorded and are *not*
-/// errors.
+/// One pipelined chunk: every submit in one write, then every fetch
+/// in one write, then one frame per job in order. `Err` means the
+/// worker connection is unusable (caller restarts); per-item failures
+/// (typed error replies) are recorded and are *not* errors.
 fn run_chunk(
     worker: &mut Worker,
     chunk: &[&(usize, String)],
     results: &mut BTreeMap<usize, ItemResult>,
 ) -> std::io::Result<()> {
-    // Phase 1: pipelined submits (the daemon replies in request order).
-    for (_, path) in chunk {
-        worker.send(&serde_json::json!({"verb": "submit", "path": path}))?;
-    }
-    let mut job_ids: Vec<(usize, Option<u64>)> = Vec::with_capacity(chunk.len());
+    worker.send_all(
+        chunk
+            .iter()
+            .map(|(_, path)| serde_json::json!({"verb": "submit", "path": path})),
+    )?;
+    let mut jobs: Vec<(usize, u64)> = Vec::with_capacity(chunk.len());
     for (idx, path) in chunk {
         let reply = worker.recv()?;
-        if reply["ok"].as_bool() == Some(true) {
-            job_ids.push((*idx, reply["id"].as_i64().map(|id| id as u64)));
-        } else {
+        let id = reply["id"].as_i64().and_then(|id| u64::try_from(id).ok());
+        match (reply["ok"].as_bool(), id) {
+            (Some(true), Some(id)) => jobs.push((*idx, id)),
             // An admission reject is a protocol-level surprise (the
             // window is sized to the queue) but not a dead worker.
-            results.insert(
-                *idx,
-                ItemResult::Failed(format!(
-                    "{path}: submit rejected: {}",
-                    reply["error"]["code"].as_str().unwrap_or("unknown")
-                )),
-            );
-            job_ids.push((*idx, None));
+            _ => match typed_error(&reply) {
+                Some((code, _)) => {
+                    results.insert(
+                        *idx,
+                        ItemResult::Failed(format!("{path}: submit rejected: {code}")),
+                    );
+                }
+                None => return Err(dead("submit reply is neither a job id nor a typed error")),
+            },
         }
     }
 
-    // Phase 2: fetch each report, polling not-ready jobs. The daemon
-    // drains in batches, so by the time the first report is ready the
-    // rest of the chunk usually is too.
-    for (idx, id) in job_ids {
-        let Some(id) = id else { continue };
-        loop {
-            let reply = worker.rpc(&serde_json::json!({"verb": "report", "id": id}))?;
-            if reply["ok"].as_bool() == Some(true) {
-                results.insert(
-                    idx,
-                    ItemResult::Done {
-                        report: reply["report"].as_str().unwrap_or("").to_owned(),
-                        delta: match &reply["delta"] {
-                            Value::Null => None,
-                            d => Some(d.clone()),
-                        },
-                        degraded: reply["degraded"].as_bool().unwrap_or(false),
-                    },
-                );
-                break;
-            }
-            match reply["error"]["code"].as_str() {
-                Some(code) if code == protocol::ErrorCode::NotReady.tag() => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Some(code) => {
-                    results.insert(
-                        idx,
-                        ItemResult::Failed(format!(
-                            "{code}: {}",
-                            reply["error"]["message"]
-                                .as_str()
-                                .unwrap_or("analysis failed")
-                        )),
-                    );
-                    break;
-                }
-                None => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        "worker reply carries neither ok nor error",
-                    ));
-                }
-            }
-        }
+    worker.send_all(
+        jobs.iter()
+            .map(|(_, id)| serde_json::json!({"verb": "fetch", "id": id})),
+    )?;
+    for (idx, _) in jobs {
+        let header = worker.recv()?;
+        let bytes = header["bytes"].as_i64().and_then(|n| u64::try_from(n).ok());
+        let result = match (header["ok"].as_bool(), bytes) {
+            (Some(true), Some(bytes)) => ItemResult::Done {
+                report: worker.recv_frame(bytes)?,
+                delta: match &header["delta"] {
+                    Value::Null => None,
+                    d => Some(d.clone()),
+                },
+                degraded: header["degraded"].as_bool().unwrap_or(false),
+            },
+            _ => match typed_error(&header) {
+                Some((code, message)) => ItemResult::Failed(format!("{code}: {message}")),
+                None => return Err(dead("fetch reply is neither a frame nor a typed error")),
+            },
+        };
+        results.insert(idx, result);
     }
     Ok(())
 }
@@ -592,12 +581,23 @@ impl WorkerFleet {
     }
 
     /// Graceful teardown: every warm worker gets the `shutdown` verb
-    /// and a reap (with the kill fallback), in shard order.
+    /// before any is reaped, so they drain and flush their caches in
+    /// parallel. A worker still running 10 s later is killed, so a
+    /// wedged one cannot hang the orchestrator.
     pub fn shutdown(mut self) {
-        for slot in &mut self.slots {
-            if let Some(w) = slot.take() {
-                w.shutdown();
+        let mut live: Vec<Worker> = self.slots.iter_mut().filter_map(Option::take).collect();
+        for w in &mut live {
+            let _ = w.send_all([serde_json::json!({"verb": "shutdown"})]);
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !live.is_empty() && Instant::now() < deadline {
+            live.retain_mut(|w| !matches!(w.child.try_wait(), Ok(Some(_))));
+            if !live.is_empty() {
+                std::thread::sleep(Duration::from_millis(1));
             }
+        }
+        for w in live {
+            w.kill();
         }
     }
 }

@@ -2,26 +2,38 @@
 //! or stdin/stdout.
 //!
 //! Every request is one line holding one JSON object with a `"verb"`
-//! field; every reply is one line holding one JSON object with an
-//! `"ok"` field. Multi-line payloads (reports, doctor snapshots) ride
-//! *inside* the reply as JSON strings — the serializer escapes every
-//! newline, so the framing survives and the client recovers the exact
-//! bytes by unescaping one string field. That is what makes `report`
-//! replies byte-identical to one-shot `--json` output without giving
-//! up one-line framing.
+//! field; every reply starts with one line holding one JSON object
+//! with an `"ok"` field. Multi-line payloads ride one of two ways:
+//!
+//! - **Inside the line**, as a JSON string (`report`, `doctor`): the
+//!   serializer escapes every newline, so the framing survives and the
+//!   client recovers the exact bytes by unescaping one string field.
+//! - **After the line**, as a raw frame (`fetch`): the header line
+//!   carries `"bytes": N` and exactly N unescaped bytes follow it. A
+//!   client reads the header, then reads N bytes, and is line-synced
+//!   again.
+//!
+//! Either way a finished job's payload is byte-identical to one-shot
+//! `--json` output.
 //!
 //! Verbs:
 //!
-//! | verb       | fields            | reply                                   |
-//! |------------|-------------------|-----------------------------------------|
-//! | `submit`   | `path`, `key`?    | `id`, `pending`                         |
-//! | `status`   | `id`?             | queue counters, or one job's state      |
-//! | `report`   | `id`              | `report` (exact `--json` bytes)         |
-//! | `doctor`   | —                 | `doctor` (exact `--doctor` bytes + queue)|
-//! | `shutdown` | —                 | `pending`; daemon drains and exits      |
+//! | verb       | fields         | reply                                          |
+//! |------------|----------------|------------------------------------------------|
+//! | `submit`   | `path`, `key`? | `id`, `pending`                                |
+//! | `status`   | `id`?          | queue counters, or one job's state             |
+//! | `report`   | `id`           | `report` (exact `--json` bytes) or `not-ready` |
+//! | `fetch`    | `id`           | waits for the job; `bytes` N, then N raw bytes |
+//! | `doctor`   | —              | `doctor` (exact `--doctor` bytes + queue)      |
+//! | `shutdown` | —              | `pending`; daemon drains and exits             |
+//!
+//! `report` and `fetch` carry the same fields about a finished job
+//! (`id`, `key`, `degraded`, `defects`, `delta`); they differ only in
+//! whether the job's report rides escaped in the line or raw after it.
 //!
 //! Errors are typed: `{"ok": false, "error": {"code": ..., "message":
-//! ...}}`. Malformed lines, unknown verbs, and oversized requests get
+//! ...}}`, always a single line with no payload — a failed `fetch`
+//! included. Malformed lines, unknown verbs, and oversized requests get
 //! an error reply and the connection stays line-synced (oversized
 //! physical lines are drained to their newline); a protocol error never
 //! takes the daemon down.
@@ -51,9 +63,16 @@ pub enum Request {
         /// Job to inspect (`None` = whole-queue view).
         id: Option<u64>,
     },
-    /// Fetch a finished job's report.
+    /// A finished job's report, escaped inside the reply line;
+    /// `not-ready` while the job is queued or running.
     Report {
         /// Job to fetch.
+        id: u64,
+    },
+    /// Wait for a job to finish, then send its report as a raw frame
+    /// after the header line.
+    Fetch {
+        /// Job to wait for.
         id: u64,
     },
     /// The canonical health snapshot plus the queue section.
@@ -156,6 +175,10 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
         "report" => match id_of(m)? {
             Some(id) => Ok(Request::Report { id }),
             None => Err(malformed("report requires an integer field \"id\"")),
+        },
+        "fetch" => match id_of(m)? {
+            Some(id) => Ok(Request::Fetch { id }),
+            None => Err(malformed("fetch requires an integer field \"id\"")),
         },
         "doctor" => Ok(Request::Doctor),
         "shutdown" => Ok(Request::Shutdown),
@@ -264,6 +287,10 @@ mod tests {
             Request::Report { id: 1 }
         );
         assert_eq!(
+            parse_request(r#"{"verb": "fetch", "id": 3}"#).unwrap(),
+            Request::Fetch { id: 3 }
+        );
+        assert_eq!(
             parse_request(r#"{"verb": "doctor"}"#).unwrap(),
             Request::Doctor
         );
@@ -284,6 +311,9 @@ mod tests {
             r#"{"verb": "submit", "path": 3}"#,
             r#"{"verb": "report"}"#,
             r#"{"verb": "report", "id": -1}"#,
+            r#"{"verb": "fetch"}"#,
+            r#"{"verb": "fetch", "id": "1"}"#,
+            r#"{"verb": "fetch", "id": 1.5}"#,
             r#"{"verb": "status", "id": "x"}"#,
         ] {
             let (code, _) = parse_request(line).unwrap_err();

@@ -591,3 +591,171 @@ fn retiring_a_key_drops_its_jobs_and_counts() {
     // Retiring an unknown key is a no-op, not an error.
     assert_eq!(daemon.retire_key("never-seen.apk"), 0);
 }
+
+/// The pinned `report` reply: one line, sorted keys, the report
+/// escaped into a JSON string, no frame after it — and the pinned
+/// `not-ready` line before the job runs.
+#[test]
+fn report_reply_bytes_are_pinned() {
+    let bytes = sample_app("com.daemon.pinned");
+    let daemon = default_daemon();
+    let (id, _) = daemon
+        .submit_bytes("pinned.apk".to_owned(), bytes.clone())
+        .unwrap();
+    let reply = request(&daemon, &format!(r#"{{"verb": "report", "id": {id}}}"#));
+    assert_eq!(
+        reply.line,
+        format!(
+            "{{\"error\":{{\"code\":\"not-ready\",\"message\":\"job {id} is queued\"}},\"ok\":false}}\n"
+        )
+    );
+    assert!(reply.payload.is_none());
+
+    daemon.drain_now();
+    let one_shot = one_shot_json(&bytes);
+    let defects = serde_json::from_str(&one_shot).unwrap()["defects"]
+        .as_array()
+        .unwrap()
+        .len();
+    let reply = request(&daemon, &format!(r#"{{"verb": "report", "id": {id}}}"#));
+    assert_eq!(
+        reply.line,
+        format!(
+            "{{\"defects\":{defects},\"degraded\":false,\"delta\":null,\"id\":{id},\
+             \"key\":\"pinned.apk\",\"ok\":true,\"report\":{},\"verb\":\"report\"}}\n",
+            serde_json::to_string(&Value::String(one_shot)).unwrap()
+        )
+    );
+    assert!(reply.payload.is_none(), "report never carries a frame");
+}
+
+/// Reads one reply off a `serve --stdio` pipe: the header line, plus
+/// the raw frame when the header announces `bytes`.
+fn read_framed(stdout: &mut impl BufRead) -> (Value, Option<Vec<u8>>) {
+    let mut line = String::new();
+    stdout.read_line(&mut line).unwrap();
+    let header: Value = serde_json::from_str(&line).expect("header is JSON");
+    let frame = header["bytes"].as_i64().map(|n| {
+        let mut buf = vec![0u8; usize::try_from(n).unwrap()];
+        stdout.read_exact(&mut buf).unwrap();
+        buf
+    });
+    (header, frame)
+}
+
+/// `fetch` over the real `serve --stdio` binary: N submits, then N
+/// fetches in one write; every frame is the binary's one-shot `--json`
+/// stdout for its bundle, every header's `bytes` is its frame's length,
+/// and errors (unknown id, corrupt bundle) are single lines with no
+/// frame after which the stream still parses.
+#[test]
+fn stdio_binary_fetch_frames_match_one_shot_json() {
+    let dir = temp_path("fetch");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut apps = Vec::new();
+    for (i, spec) in profile::corpus(31).into_iter().take(6).enumerate() {
+        let path = dir.join(format!("app{i}.apk"));
+        std::fs::write(&path, generate_with_bulk(&spec, 2).to_bytes()).unwrap();
+        apps.push(path);
+    }
+    let corrupt = dir.join("corrupt.apk");
+    std::fs::write(&corrupt, b"this is not a bundle").unwrap();
+
+    let one_shot = |path: &PathBuf| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_nchecker"))
+            .args(["--json", "--no-cache"])
+            .arg(path)
+            .output()
+            .expect("one-shot runs");
+        assert!(out.status.success());
+        out.stdout
+    };
+
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_nchecker"))
+        .args(["serve", "--stdio", "--quiet"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("daemon starts");
+    let mut stdin = child.stdin.take().unwrap();
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+
+    let mut submits = String::new();
+    for path in apps.iter().chain([&corrupt]) {
+        submits.push_str(&format!(
+            "{{\"verb\": \"submit\", \"path\": {:?}}}\n",
+            path.to_str().unwrap()
+        ));
+    }
+    stdin.write_all(submits.as_bytes()).unwrap();
+    stdin.flush().unwrap();
+    let mut ids = Vec::new();
+    for _ in 0..=apps.len() {
+        let (v, frame) = read_framed(&mut stdout);
+        assert_eq!(v["ok"], true, "{v:?}");
+        assert!(frame.is_none());
+        ids.push(v["id"].as_i64().unwrap());
+    }
+
+    // Every fetch in one write, an unknown id among them.
+    let mut fetches: String = ids
+        .iter()
+        .map(|id| format!("{{\"verb\": \"fetch\", \"id\": {id}}}\n"))
+        .collect();
+    fetches.push_str("{\"verb\": \"fetch\", \"id\": 999999}\n");
+    fetches.push_str("{\"verb\": \"status\"}\n");
+    stdin.write_all(fetches.as_bytes()).unwrap();
+    stdin.flush().unwrap();
+
+    for (path, id) in apps.iter().zip(&ids) {
+        let (v, frame) = read_framed(&mut stdout);
+        assert_eq!(v["ok"], true, "{v:?}");
+        assert_eq!(v["verb"], "fetch");
+        assert_eq!(v["id"].as_i64(), Some(*id));
+        assert_eq!(v["key"].as_str(), path.to_str());
+        let frame = frame.expect("a finished job's fetch carries a frame");
+        assert_eq!(v["bytes"].as_i64(), Some(frame.len() as i64));
+        assert_eq!(
+            String::from_utf8(frame).expect("frames are UTF-8"),
+            String::from_utf8(one_shot(path)).expect("one-shot stdout is UTF-8"),
+            "fetch frame must be the one-shot --json bytes"
+        );
+    }
+    let (v, frame) = read_framed(&mut stdout);
+    assert_eq!(error_code(&v), "analysis-failed");
+    assert!(frame.is_none());
+    let (v, frame) = read_framed(&mut stdout);
+    assert_eq!(error_code(&v), "not-found");
+    assert!(frame.is_none());
+    let (v, _) = read_framed(&mut stdout);
+    assert_eq!(v["verb"], "status", "the stream is still line-synced");
+    assert_eq!(v["completed"].as_i64(), Some(apps.len() as i64));
+
+    // `report` carries the same fields about the same job.
+    stdin
+        .write_all(
+            format!(
+                "{{\"verb\": \"report\", \"id\": {}}}\n{{\"verb\": \"fetch\", \"id\": {}}}\n",
+                ids[0], ids[0]
+            )
+            .as_bytes(),
+        )
+        .unwrap();
+    stdin.flush().unwrap();
+    let (report, _) = read_framed(&mut stdout);
+    let (fetch, frame) = read_framed(&mut stdout);
+    for field in ["id", "key", "degraded", "defects", "delta"] {
+        assert_eq!(report[field], fetch[field], "field {field}");
+    }
+    assert_eq!(
+        report["report"].as_str().unwrap().as_bytes(),
+        &frame.unwrap()[..]
+    );
+
+    stdin.write_all(b"{\"verb\": \"shutdown\"}\n").unwrap();
+    drop(stdin);
+    let status = child.wait().expect("daemon exits");
+    assert!(status.success(), "clean shutdown exits 0");
+    let _ = std::fs::remove_dir_all(&dir);
+}

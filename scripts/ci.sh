@@ -194,6 +194,42 @@ assert proc.wait(timeout=120) == 0, "daemon must exit 0 after clean shutdown"
 print("daemon ok: report byte-identical over the wire, "
       "doctor + queue served, typed errors, clean shutdown")
 EOF
+# The framed verb: `fetch` waits for the job and answers with one header
+# line carrying `bytes`, then exactly that many raw report bytes, which
+# must equal the one-shot --json output; an unknown id is a one-line
+# `not-found` with no frame, and the stream stays line-synced after it.
+python3 - "$daemon_dir" <<'EOF'
+import json, os, subprocess, sys
+
+d = sys.argv[1]
+proc = subprocess.Popen(
+    ["./target/release/nchecker", "serve", "--stdio", "--quiet"],
+    stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+
+def send(req):
+    proc.stdin.write(json.dumps(req).encode() + b"\n")
+    proc.stdin.flush()
+    return json.loads(proc.stdout.readline())
+
+r = send({"verb": "submit", "path": os.path.join(d, "app.apk")})
+assert r["ok"], r
+head = send({"verb": "fetch", "id": r["id"]})
+assert head["ok"] and head["verb"] == "fetch", head
+payload = proc.stdout.read(head["bytes"])
+with open(os.path.join(d, "oneshot.json"), "rb") as f:
+    oneshot = f.read()
+assert len(payload) == head["bytes"], "short fetch frame"
+assert payload == oneshot, "fetch frame differs from one-shot --json"
+missing = send({"verb": "fetch", "id": 999999})
+assert not missing["ok"] and missing["error"]["code"] == "not-found", missing
+st = send({"verb": "status"})
+assert st["ok"] and st["verb"] == "status", "stream not line-synced after an error"
+assert send({"verb": "shutdown"})["ok"]
+proc.stdin.close()
+assert proc.wait(timeout=120) == 0, "daemon must exit 0 after clean shutdown"
+print(f"fetch ok: {head['bytes']}-byte frame byte-identical to one-shot --json, "
+      "not-found for an unknown id")
+EOF
 # A wire line nested far past the JSON parser's depth limit (50,000 `[`
 # bytes, well under the 1 MiB line cap) must get a typed `malformed`
 # reply, not overflow the daemon's stack; the daemon then shuts down
