@@ -149,7 +149,7 @@ fn run_fault_tolerant(
 ) -> CorpusOutcome {
     let slots = nck_svc::run_pool(
         n,
-        None,
+        nck_svc::default_workers(),
         || {
             let mut checker = NChecker::with_config(config);
             checker.obs = obs.fresh();

@@ -16,19 +16,6 @@ use nck_obs::Obs;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
 
-/// Minimum number of method bodies to analyze before fanning out to
-/// threads; below this, spawn overhead beats the parallelism.
-const PAR_MIN_METHODS: usize = 64;
-
-/// Worker count for intra-app parallel phases, capped so one large app
-/// cannot monopolize a shared service host.
-fn par_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8)
-}
-
 /// All dataflow artifacts of one method body.
 ///
 /// Only the CFG is computed eagerly: every consumer (including the
@@ -217,53 +204,15 @@ impl<'r> AnalyzedApp<'r> {
         let analyses: BTreeMap<MethodId, Arc<MethodAnalysis>> = {
             let s = obs.tracer.span("method_analyses");
             let mut analyses: BTreeMap<MethodId, Arc<MethodAnalysis>> = BTreeMap::new();
-            let mut to_compute: Vec<(MethodId, &Arc<Body>)> = Vec::new();
             for (id, m) in program.iter_methods() {
                 let Some(body) = m.body.as_ref() else {
                     continue;
                 };
-                if reused.contains(&id) {
-                    if let Some(prev) = reuse.as_ref().and_then(|r| r.analyses.get(&id)) {
-                        analyses.insert(id, Arc::clone(prev));
-                        continue;
-                    }
-                }
-                to_compute.push((id, body));
-            }
-            // Per-method analyses are independent, so fan the batch out
-            // over striped worker threads when there is enough of it to
-            // amortize spawning. Results land in a `BTreeMap`, so the
-            // map's contents — and everything downstream — are identical
-            // to the sequential order.
-            let workers = par_workers();
-            if workers > 1 && to_compute.len() >= PAR_MIN_METHODS {
-                let items = &to_compute;
-                let computed: Vec<(MethodId, Arc<MethodAnalysis>)> = crossbeam::scope(|sc| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|w| {
-                            sc.spawn(move |_| {
-                                items
-                                    .iter()
-                                    .skip(w)
-                                    .step_by(workers)
-                                    .map(|&(id, body)| {
-                                        (id, Arc::new(MethodAnalysis::compute(body)))
-                                    })
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().expect("method-analysis worker panicked"))
-                        .collect()
-                })
-                .expect("method-analysis scope");
-                analyses.extend(computed);
-            } else {
-                for (id, body) in to_compute {
-                    analyses.insert(id, Arc::new(MethodAnalysis::compute(body)));
-                }
+                let analysis = match reuse.as_ref().and_then(|r| r.analyses.get(&id)) {
+                    Some(prev) if reused.contains(&id) => Arc::clone(prev),
+                    _ => Arc::new(MethodAnalysis::compute(body)),
+                };
+                analyses.insert(id, analysis);
             }
             s.add_items(analyses.len() as u64);
             analyses

@@ -266,22 +266,6 @@ fn eval(env: &[AVal], op: Operand) -> AVal {
 const MAX_SCC_ITERS: usize = 64;
 const MAX_FIELD_ROUNDS: usize = 4;
 
-/// Minimum independent components and total statements in one
-/// condensation level before the fixpoint fans out to worker threads;
-/// below this, thread spawn overhead dwarfs the solve cost (typical
-/// corpus apps stay sequential, big real-world apps fan out).
-const PAR_MIN_COMPS: usize = 4;
-const PAR_MIN_STMTS: usize = 4096;
-
-/// Worker threads for the per-level parallel fixpoint: capped low since
-/// this nests inside the per-app service pool.
-fn par_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8)
-}
-
 impl Summaries {
     /// Computes summaries for all `methods`, classifying each call site
     /// via `classify` (called once per site, up front).
@@ -387,8 +371,8 @@ impl Summaries {
             }
         }
         // Fixpoint effort counters, written once at the end.
-        let fixpoint_iters = std::cell::Cell::new(0u64);
-        let method_passes = std::cell::Cell::new(0u64);
+        let mut fixpoint_iters = 0u64;
+        let mut method_passes = 0u64;
 
         // Reverse edges and self-loops drive the incremental recompute:
         // a changed summary only dirties its callers, and a singleton
@@ -399,46 +383,6 @@ impl Summaries {
             for &s in ss {
                 preds[s].push(m);
             }
-        }
-
-        // Condensation-depth levels: level(c) = 1 + max level over callee
-        // components (0 with none). Components at the same level share no
-        // edges — an edge between components always strictly increases the
-        // level — so they read only summaries frozen at level entry and
-        // can be solved independently, in parallel. Tarjan emits callees
-        // first, so callee levels are always computed before their
-        // callers'.
-        let mut comp_of = vec![0u32; n];
-        for (ci, comp) in components.iter().enumerate() {
-            for &m in comp {
-                comp_of[m] = ci as u32;
-            }
-        }
-        let mut comp_level = vec![0u32; components.len()];
-        let mut max_level = 0u32;
-        for (ci, comp) in components.iter().enumerate() {
-            let mut lvl = 0;
-            for &m in comp {
-                for &s in &succs[m] {
-                    let sc = comp_of[s] as usize;
-                    if sc != ci {
-                        lvl = lvl.max(comp_level[sc] + 1);
-                    }
-                }
-            }
-            comp_level[ci] = lvl;
-            max_level = max_level.max(lvl);
-        }
-        let mut levels: Vec<Vec<usize>> = vec![
-            Vec::new();
-            if components.is_empty() {
-                0
-            } else {
-                max_level as usize + 1
-            }
-        ];
-        for (ci, &lvl) in comp_level.iter().enumerate() {
-            levels[lvl as usize].push(ci);
         }
 
         // Which fields each method loads (field-round dirtying).
@@ -530,189 +474,61 @@ impl Summaries {
         }
         let mut field_consts: BTreeMap<FieldKey, CVal> = BTreeMap::new();
 
-        // Solves one component to fixpoint against a frozen summary
-        // vector, without touching shared state — the unit of work for
-        // both the sequential and the parallel recompute path. Returns
-        // the final summary and field contribution per body-bearing
-        // member, plus the members whose update branch fired (whose
-        // callers must be dirtied) and the effort counters.
-        struct CompOutcome {
-            results: Vec<(usize, MethodSummary, BTreeMap<FieldKey, CVal>)>,
-            touched: Vec<usize>,
-            iters: u64,
-            passes: u64,
-        }
-        let solve_comp = |ci: usize,
-                          base: &[MethodSummary],
-                          field_consts: &BTreeMap<FieldKey, CVal>,
-                          force: &BTreeSet<usize>|
-         -> CompOutcome {
-            let comp = &components[ci];
-            let mut out = CompOutcome {
-                results: Vec::with_capacity(comp.len()),
-                touched: Vec::new(),
-                iters: 0,
-                passes: 0,
-            };
-            let solve_one = |m: usize, body: &Body, view: &[MethodSummary]| {
-                let cfg = cfgs[m].expect("cfg exists for body");
-                let analysis = IpAnalysis {
-                    n_locals: body.locals.len(),
-                    is_static: methods[m].is_static,
-                    kinds: &kinds[m],
-                    summaries: view,
-                    field_consts,
-                };
-                let sol = solve(body, cfg, &analysis);
-                let s = summarize(body, &sol, &kinds[m], view);
-                (s, field_contrib(body, &sol))
-            };
-            if comp.len() == 1 && !self_loop[comp[0]] {
-                // A non-recursive singleton cannot feed itself: one pass
-                // against the frozen base suffices (it never reads its
-                // own entry), no confirmation iteration needed.
-                out.iters = 1;
-                let m = comp[0];
-                if let Some(body) = methods[m].body {
-                    out.passes = 1;
-                    let (s, contrib) = solve_one(m, body, base);
-                    if s != base[m] || force.contains(&m) {
-                        out.touched.push(m);
-                    }
-                    out.results.push((m, s, contrib));
+        // Recomputes the methods in `dirty`, one component at a time in
+        // Tarjan order, in place. A summary change dirties the method's
+        // callers, which always sit in a later component (or in the same
+        // recursive one), so every component sees its callees' final
+        // summaries for the round.
+        let mut recompute = |summaries: &mut Vec<MethodSummary>,
+                             contribs: &mut Vec<BTreeMap<FieldKey, CVal>>,
+                             field_consts: &BTreeMap<FieldKey, CVal>,
+                             dirty: &mut BTreeSet<usize>,
+                             force: &BTreeSet<usize>| {
+            for comp in &components {
+                if !comp.iter().any(|m| dirty.contains(m)) {
+                    continue;
                 }
-            } else {
-                // Recursive component: members read each other's working
-                // summaries, so iterate on a private copy of the vector.
-                let mut local: Vec<MethodSummary> = base.to_vec();
-                let mut latest: BTreeMap<usize, BTreeMap<FieldKey, CVal>> = BTreeMap::new();
-                for _ in 0..MAX_SCC_ITERS {
-                    out.iters += 1;
+                let span = (comp.len() > 1).then(|| obs.tracer.span("scc_fixpoint"));
+                if let Some(s) = &span {
+                    s.add_items(comp.len() as u64);
+                }
+                // A non-recursive singleton cannot feed itself: one pass
+                // suffices, no confirmation iteration needed. Members of
+                // a recursive component read each other's working
+                // summaries, so it iterates until none changes.
+                let max_iters = if comp.len() == 1 && !self_loop[comp[0]] {
+                    1
+                } else {
+                    MAX_SCC_ITERS
+                };
+                for _ in 0..max_iters {
+                    fixpoint_iters += 1;
                     let mut changed = false;
                     for &m in comp {
                         let Some(body) = methods[m].body else {
                             continue;
                         };
-                        out.passes += 1;
-                        let (s, contrib) = solve_one(m, body, &local);
-                        if s != local[m] || force.contains(&m) {
-                            if s != local[m] {
-                                changed = true;
-                            }
-                            local[m] = s;
-                            if !out.touched.contains(&m) {
-                                out.touched.push(m);
-                            }
+                        method_passes += 1;
+                        let cfg = cfgs[m].expect("cfg exists for body");
+                        let analysis = IpAnalysis {
+                            n_locals: body.locals.len(),
+                            is_static: methods[m].is_static,
+                            kinds: &kinds[m],
+                            summaries,
+                            field_consts,
+                        };
+                        let sol = solve(body, cfg, &analysis);
+                        let s = summarize(body, &sol, &kinds[m], summaries);
+                        let differs = s != summaries[m];
+                        if differs || force.contains(&m) {
+                            changed |= differs;
+                            summaries[m] = s;
+                            dirty.extend(preds[m].iter().copied());
                         }
-                        latest.insert(m, contrib);
+                        contribs[m] = field_contrib(body, &sol);
                     }
                     if !changed {
                         break;
-                    }
-                }
-                for &m in comp {
-                    if let Some(contrib) = latest.remove(&m) {
-                        out.results.push((m, local[m], contrib));
-                    }
-                }
-            }
-            out
-        };
-
-        // Recomputes the methods in `dirty` (bottom-up, level by level);
-        // a summary change dirties the method's callers, which always
-        // live at a later level (or in the same recursive component).
-        // Within a level the active components are independent, so when
-        // the level carries enough work they are solved on scoped worker
-        // threads; outcomes are applied in component-index order either
-        // way, which replicates the sequential schedule exactly.
-        let recompute = |summaries: &mut Vec<MethodSummary>,
-                         contribs: &mut Vec<BTreeMap<FieldKey, CVal>>,
-                         field_consts: &BTreeMap<FieldKey, CVal>,
-                         dirty: &mut BTreeSet<usize>,
-                         force: &BTreeSet<usize>| {
-            for level in &levels {
-                let active: Vec<usize> = level
-                    .iter()
-                    .copied()
-                    .filter(|&ci| components[ci].iter().any(|m| dirty.contains(m)))
-                    .collect();
-                if active.is_empty() {
-                    continue;
-                }
-                let apply = |outcome: CompOutcome,
-                             summaries: &mut Vec<MethodSummary>,
-                             contribs: &mut Vec<BTreeMap<FieldKey, CVal>>,
-                             dirty: &mut BTreeSet<usize>| {
-                    fixpoint_iters.set(fixpoint_iters.get() + outcome.iters);
-                    method_passes.set(method_passes.get() + outcome.passes);
-                    for (m, s, contrib) in outcome.results {
-                        summaries[m] = s;
-                        contribs[m] = contrib;
-                    }
-                    for m in outcome.touched {
-                        dirty.extend(preds[m].iter().copied());
-                    }
-                };
-                let level_stmts: usize = active
-                    .iter()
-                    .flat_map(|&ci| components[ci].iter())
-                    .map(|&m| methods[m].body.map_or(0, |b| b.len()))
-                    .sum();
-                let workers = par_workers().min(active.len());
-                if workers > 1 && active.len() >= PAR_MIN_COMPS && level_stmts >= PAR_MIN_STMTS {
-                    // Heavy level: stripe the active components across
-                    // scoped threads against the frozen summary vector.
-                    // The span sits on this thread; worker outcomes carry
-                    // the counters back.
-                    let span = obs.tracer.span("scc_level_parallel");
-                    span.add_items(active.len() as u64);
-                    let frozen: &[MethodSummary] = summaries;
-                    let active_ref = &active;
-                    let solve_comp_ref = &solve_comp;
-                    let mut slots: Vec<Option<CompOutcome>> =
-                        (0..active.len()).map(|_| None).collect();
-                    crossbeam::scope(|scope| {
-                        let mut handles = Vec::with_capacity(workers);
-                        for w in 0..workers {
-                            handles.push(scope.spawn(move |_| {
-                                let mut done = Vec::new();
-                                let mut i = w;
-                                while i < active_ref.len() {
-                                    done.push((
-                                        i,
-                                        solve_comp_ref(active_ref[i], frozen, field_consts, force),
-                                    ));
-                                    i += workers;
-                                }
-                                done
-                            }));
-                        }
-                        handles
-                            .into_iter()
-                            .flat_map(|h| h.join().expect("scc worker"))
-                            .collect::<Vec<_>>()
-                    })
-                    .expect("scc scope")
-                    .into_iter()
-                    .for_each(|(i, outcome)| slots[i] = Some(outcome));
-                    for outcome in slots {
-                        apply(
-                            outcome.expect("every component solved"),
-                            summaries,
-                            contribs,
-                            dirty,
-                        );
-                    }
-                } else {
-                    for &ci in &active {
-                        let span =
-                            (components[ci].len() > 1).then(|| obs.tracer.span("scc_fixpoint"));
-                        if let Some(s) = &span {
-                            s.add_items(components[ci].len() as u64);
-                        }
-                        let outcome = solve_comp(ci, summaries, field_consts, force);
-                        apply(outcome, summaries, contribs, dirty);
                     }
                 }
             }
@@ -806,10 +622,8 @@ impl Summaries {
                 .inc("summary.const_returns", stats.const_returns as u64);
             obs.metrics
                 .inc("summary.field_consts", stats.field_consts as u64);
-            obs.metrics
-                .inc("summary.fixpoint_iters", fixpoint_iters.get());
-            obs.metrics
-                .inc("summary.method_passes", method_passes.get());
+            obs.metrics.inc("summary.fixpoint_iters", fixpoint_iters);
+            obs.metrics.inc("summary.method_passes", method_passes);
             obs.metrics.inc("summary.field_rounds", field_rounds);
         }
 

@@ -3,7 +3,7 @@
 //! A [`Daemon`] owns an [`AnalysisService`] and a bounded request
 //! queue in front of it. Clients submit bundle paths over the
 //! [`crate::protocol`] wire (Unix socket or stdio); a dispatcher
-//! thread drains the queue in batches onto the work-stealing pool;
+//! thread drains the queue in batches onto the worker pool;
 //! finished jobs keep their rendered report — the *exact* bytes the
 //! one-shot CLI would print under `--json` — until they age out of
 //! retention. A client either polls for it (`report`) or blocks on it

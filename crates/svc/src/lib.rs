@@ -4,8 +4,9 @@
 //! and real deployments re-analyze *updated versions* of the same apps.
 //! This crate packages the batch machinery those workloads share:
 //!
-//! - [`pool`] — a fault-tolerant work-stealing worker pool (panics are
-//!   contained per job; one adversarial bundle cannot take a run down),
+//! - [`pool`] — the fault-tolerant worker pool, the one place analysis
+//!   threads start (panics are contained per job; one adversarial
+//!   bundle cannot take a run down),
 //! - [`store`] — a sharded, content-addressed analysis cache with an
 //!   in-memory tier (full replay seeds) and an optional on-disk tier
 //!   (durable whole-report entries in the [`wire`] format),

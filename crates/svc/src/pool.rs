@@ -1,19 +1,21 @@
-//! A fault-tolerant work-stealing worker pool.
+//! The fault-tolerant worker pool: the one place that starts analysis
+//! threads.
 //!
-//! This is the generalized engine behind every parallel corpus run: `n`
-//! jobs are pre-distributed round-robin across per-worker deques, each
-//! worker drains its own deque from the front and steals from the back
-//! of its neighbours' when empty (stolen work is the *oldest* queued, so
-//! contention stays at opposite deque ends), and every job runs under
-//! panic containment — a panicking job loses only its own result slot,
-//! and the worker rebuilds its state and keeps going.
+//! Every parallel corpus run goes through [`run_pool`]. An app's
+//! analysis runs start to finish on the pool thread that took it, so
+//! `--jobs N` means N analysis threads. Workers claim job indices from
+//! one shared cursor, so a worker that draws short jobs simply claims
+//! more of them. Every job runs under panic containment: a panicking
+//! job loses only its own result slot, and the worker rebuilds its
+//! state and keeps going.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default worker count: available parallelism, capped at 16 (analysis
-/// is memory-bandwidth-bound well before that on bigger hosts).
+/// is memory-bandwidth-bound well before that on bigger hosts). std
+/// reads the cgroup quota files on every call, so callers read it once
+/// and keep the number.
 pub fn default_workers() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -21,42 +23,18 @@ pub fn default_workers() -> usize {
         .min(16)
 }
 
-fn pop_or_steal(me: usize, deques: &[Mutex<VecDeque<usize>>]) -> Option<usize> {
-    // Own deque first, front end.
-    if let Some(i) = lock(&deques[me]).pop_front() {
-        return Some(i);
-    }
-    // Steal from the back of the others, scanning from the right
-    // neighbour so thieves spread out instead of mobbing deque 0.
-    let n = deques.len();
-    for off in 1..n {
-        if let Some(i) = lock(&deques[(me + off) % n]).pop_back() {
-            return Some(i);
-        }
-    }
-    None
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    // Jobs run under catch_unwind, so a poisoned deque or slot means a
-    // panic escaped mid-lock; the data (a queue of indices / a result
-    // option) is still well-formed, so recover rather than cascade.
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Runs `n` jobs across a work-stealing pool and returns one slot per
-/// job, in order. A slot is `None` only when the job's panic escaped
-/// `task`'s own containment *and* the pool's backstop — i.e. the job
-/// panicked; all other jobs are unaffected.
+/// Runs `n` jobs across `workers` threads (clamped to at least 1 and at
+/// most `n`) and returns one slot per job, in order. A slot is `None`
+/// only when the job's panic escaped `task`'s own containment *and* the
+/// pool's backstop — i.e. the job panicked; all other jobs are
+/// unaffected.
 ///
-/// `workers` overrides the pool size ([`default_workers`] when `None`;
-/// clamped to at least 1 and at most `n`). `make_worker` builds each
-/// worker's private state (e.g. a configured checker); after a contained
-/// panic the state is rebuilt, since the panicking job may have left it
-/// inconsistent.
+/// `make_worker` builds each worker's private state (e.g. a configured
+/// checker); after a contained panic the state is rebuilt, since the
+/// panicking job may have left it inconsistent.
 pub fn run_pool<W, T>(
     n: usize,
-    workers: Option<usize>,
+    workers: usize,
     make_worker: impl Fn() -> W + Sync,
     task: impl Fn(&mut W, usize) -> T + Sync,
 ) -> Vec<Option<T>>
@@ -66,47 +44,51 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let n_workers = workers.unwrap_or_else(default_workers).clamp(1, n);
-    let deques: Vec<Mutex<VecDeque<usize>>> = (0..n_workers)
-        .map(|w| Mutex::new((w..n).step_by(n_workers).collect()))
-        .collect();
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
-    crossbeam::scope(|scope| {
-        for me in 0..n_workers {
-            let deques = &deques;
-            let slots = &slots;
-            let make_worker = &make_worker;
-            let task = &task;
-            scope.spawn(move |_| {
-                let mut state = make_worker();
-                while let Some(i) = pop_or_steal(me, deques) {
-                    match catch_unwind(AssertUnwindSafe(|| task(&mut state, i))) {
-                        Ok(v) => *lock(&slots[i]) = Some(v),
-                        Err(_) => {
+    // The cursor publishes nothing but the index itself (the jobs'
+    // inputs are shared before the threads start, results come back
+    // through `join`), so `Relaxed` suffices: `fetch_add` still hands
+    // every index out exactly once.
+    let cursor = AtomicUsize::new(0);
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.clamp(1, n))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut state = make_worker();
+                    let mut done = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break done;
+                        }
+                        match catch_unwind(AssertUnwindSafe(|| task(&mut state, i))) {
+                            Ok(v) => done.push((i, v)),
                             // The job panicked through `task`'s own
                             // containment; its slot stays empty and the
                             // worker state is suspect — rebuild it.
-                            state = make_worker();
+                            Err(_) => state = make_worker(),
                         }
                     }
-                }
-            });
+                })
+            })
+            .collect();
+        for handle in handles {
+            for (i, v) in handle.join().expect("pool worker panicked outside a job") {
+                slots[i] = Some(v);
+            }
         }
-    })
-    .expect("pool workers");
-
-    slots.into_iter().map(|s| lock(&s).take()).collect()
+    });
+    slots
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     #[test]
     fn all_jobs_complete_in_order_slots() {
-        let out = run_pool(100, Some(4), || (), |(), i| i * 2);
+        let out = run_pool(100, 4, || (), |(), i| i * 2);
         assert_eq!(out.len(), 100);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, Some(i * 2));
@@ -116,14 +98,11 @@ mod tests {
     #[test]
     fn single_worker_and_more_workers_than_jobs() {
         assert_eq!(
-            run_pool(3, Some(1), || (), |(), i| i),
+            run_pool(3, 1, || (), |(), i| i),
             vec![Some(0), Some(1), Some(2)]
         );
-        assert_eq!(
-            run_pool(2, Some(64), || (), |(), i| i),
-            vec![Some(0), Some(1)]
-        );
-        assert!(run_pool(0, None, || (), |(), i: usize| i).is_empty());
+        assert_eq!(run_pool(2, 64, || (), |(), i| i), vec![Some(0), Some(1)]);
+        assert!(run_pool(0, 1, || (), |(), i: usize| i).is_empty());
     }
 
     #[test]
@@ -131,7 +110,7 @@ mod tests {
         let rebuilds = AtomicUsize::new(0);
         let out = run_pool(
             20,
-            Some(3),
+            3,
             || {
                 rebuilds.fetch_add(1, Ordering::SeqCst);
             },
@@ -154,13 +133,31 @@ mod tests {
     }
 
     #[test]
-    fn workers_steal_a_skewed_queue() {
-        // One worker's own deque holds a long serial job list; stealing
-        // must spread the rest. Verified indirectly: every job completes
-        // even when worker 0's deque is stacked with slow jobs.
+    fn cursor_hands_out_every_index_exactly_once() {
+        let hits: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
+        let out = run_pool(
+            1000,
+            8,
+            || (),
+            |(), i| {
+                hits[i].fetch_add(1, Ordering::SeqCst);
+                i
+            },
+        );
+        for (i, h) in hits.iter().enumerate() {
+            assert_eq!(h.load(Ordering::SeqCst), 1, "job {i} ran once");
+        }
+        assert!(out.iter().all(Option::is_some));
+    }
+
+    #[test]
+    fn skewed_job_lengths_all_complete() {
+        // Every fourth job is slow; the workers that draw fast jobs
+        // claim the rest from the shared cursor, and every job
+        // completes.
         let out = run_pool(
             32,
-            Some(4),
+            4,
             || (),
             |(), i| {
                 if i % 4 == 0 {
@@ -178,7 +175,7 @@ mod tests {
         let totals = Mutex::new(Vec::new());
         let out = run_pool(
             50,
-            Some(4),
+            4,
             || 0usize,
             |count, i| {
                 *count += 1;

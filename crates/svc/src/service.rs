@@ -15,7 +15,7 @@
 //! truth.
 
 use crate::delta::{diff_reports, DeltaReport};
-use crate::pool::run_pool;
+use crate::pool::{default_workers, run_pool};
 use crate::store::{AnalysisStore, RenderCell};
 use nchecker::cache::{config_fingerprint, AppCacheEntry, ReuseStats};
 use nchecker::{AnalyzeError, AppReport, CheckerConfig, NChecker};
@@ -110,7 +110,8 @@ impl BatchCacheStats {
 pub struct ServiceOptions {
     /// Checker toggles.
     pub config: CheckerConfig,
-    /// Worker count override (`None` = [`crate::pool::default_workers`]).
+    /// Worker count override (`None` = [`crate::pool::default_workers`],
+    /// read once when the service is built).
     pub jobs: Option<usize>,
     /// Disk cache directory (`None` = memory tier only). With
     /// `mem_budget: Some(0)` as well, the service caches nothing.
@@ -139,7 +140,9 @@ pub struct AnalysisService {
     config_fp: u64,
     obs: Obs,
     store: AnalysisStore,
-    jobs: Option<usize>,
+    /// Pool size, resolved once so a batch never re-reads the host's
+    /// core count.
+    jobs: usize,
     cache_budget: Option<u64>,
 }
 
@@ -161,7 +164,7 @@ impl AnalysisService {
                     .unwrap_or(crate::store::DEFAULT_MEM_BYTES),
                 options.cache_dir,
             ),
-            jobs: options.jobs,
+            jobs: options.jobs.unwrap_or_else(default_workers),
             cache_budget: options.cache_budget,
             obs,
         }

@@ -4,10 +4,12 @@
 //!
 //! - **Memory** — full [`AppCacheEntry`]s (replay seeds, `Arc`'d
 //!   dataflow artifacts, report) sharded by app key, LRU-evicted under
-//!   *both* an entry-count cap and an approximate byte budget (one batch
-//!   of huge apps must not blow past a memory target that a thousand
-//!   small apps respect). Seeds embed interned symbol ids and shared
-//!   pointers, so this tier is process-local by construction. A store
+//!   an approximate byte budget (one batch of huge apps must not blow
+//!   past a memory target that a thousand small apps respect). Every
+//!   [`crate::AnalysisService`] passes `usize::MAX` as the entry-count
+//!   cap, so its tier is bounded by bytes only; the entry cap is used
+//!   only by tests and `cache-gc`. Seeds embed interned symbol ids and
+//!   shared pointers, so this tier is process-local by construction. A store
 //!   built with a byte budget of 0 has no memory tier at all: inserts
 //!   go to disk only and lookups find nothing — the shape for a
 //!   one-shot process, which exits before it could read the tier back.
@@ -69,8 +71,8 @@ const SHARDS: usize = 16;
 pub const DEFAULT_CAPACITY: usize = 256;
 
 /// Default memory-tier byte budget (approximate, across all shards).
-/// Generous enough that the entry-count cap binds first for typical
-/// corpora; the byte cap exists for the huge-app tail.
+/// This is the only bound on a service's memory tier: the service sets
+/// no entry-count cap (it passes `usize::MAX`).
 pub const DEFAULT_MEM_BYTES: usize = 256 << 20;
 
 fn key_hash(key: &str) -> u64 {

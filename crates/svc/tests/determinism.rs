@@ -227,11 +227,11 @@ fn every_service_shape_serves_the_cold_bytes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Worker-count independence: the batch pool, the intra-app parallel
-/// method-analysis phase, and the parallel SCC summary levels must all
-/// be invisible in the output. Four runs at different `--jobs` settings
-/// (fresh service each time, cache off, so nothing is reused between
-/// runs) must render byte-identical reports for every app.
+/// Worker-count independence: the batch pool, the one place analysis
+/// threads start, must be invisible in the output. Four runs at
+/// different `--jobs` settings (fresh service each time, cache off, so
+/// nothing is reused between runs) must render byte-identical reports
+/// for every app.
 #[test]
 fn reports_are_byte_identical_across_jobs() {
     let (_, items) = suite(16, 2, 2016);

@@ -15,6 +15,16 @@ cargo clippy --workspace --all-targets --quiet -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> one level of parallelism"
+# An app's analysis runs on the pool thread that took it: the library
+# crates below the service start no threads of their own, so `--jobs N`
+# means N analysis threads.
+if grep -rnE 'crossbeam::scope|thread::(scope|spawn)|available_parallelism' \
+    crates/{core,dataflow,ir,dexfile,android,netlibs}/src; then
+    echo "nested analysis threads above: nck_svc::run_pool is the one place that starts analysis threads"
+    exit 1
+fi
+
 echo "==> corruption fuzz smoke test"
 # 2000 seeds x 3 base apps = 6000 mutated bundles through the whole
 # pipeline; exits non-zero on any panic or silently accepted corruption.
