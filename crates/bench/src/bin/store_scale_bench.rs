@@ -31,7 +31,7 @@
 
 use nck_appgen::CorpusStream;
 use nck_obs::Obs;
-use nck_svc::{AnalysisService, ServiceOptions};
+use nck_svc::{render_json, AnalysisService, ServiceOptions};
 use serde_json::{json, Value};
 use std::path::PathBuf;
 use std::time::Instant;
@@ -124,12 +124,6 @@ fn main() {
         },
         Obs::disabled(),
     );
-    let render = |report: &nchecker::AppReport| {
-        let mut text = serde_json::to_string_pretty(&nchecker::app_report_to_json(report))
-            .expect("report serializes");
-        text.push('\n');
-        text
-    };
     // ~32 spot checks per warm wave, spread across the corpus.
     let sample_stride = (apps / 32).max(1);
     let mut identity_checks = 0usize;
@@ -193,9 +187,10 @@ fn main() {
                         continue;
                     }
                     let (key, bytes) = &items[off];
-                    let warm = render(o.report.as_ref().expect("sampled app analyzed"));
+                    let warm = render_json(o.report.as_ref().expect("sampled app analyzed"));
                     let cold_outcome = reference.analyze_one(key, bytes);
-                    let cold = render(cold_outcome.report.as_ref().expect("reference analyzes"));
+                    let cold =
+                        render_json(cold_outcome.report.as_ref().expect("reference analyzes"));
                     if warm != cold {
                         eprintln!("FAILED: wave {wave} app {key}: warm output != cold output");
                         std::process::exit(1);

@@ -96,10 +96,10 @@ struct Job {
     bytes: Option<Vec<u8>>,
     phase: Phase,
     enqueued: Instant,
-    /// Exact one-shot `--json` bytes (pretty + trailing newline),
-    /// shared with the store's render cell when the report came out of
-    /// (or went into) the cache — a repeat hit serves these bytes
-    /// without re-encoding the report.
+    /// Exact one-shot `--json` bytes (pretty + trailing newline): the
+    /// bytes a disk entry stores, or those shared with the memory
+    /// entry's render cell — a hit serves them without re-encoding the
+    /// report.
     report_json: Option<std::sync::Arc<String>>,
     /// Defect delta against the previous version of this key, when the
     /// service computed one (JSONL object shape).
@@ -445,43 +445,41 @@ impl Daemon {
             .into_iter()
             .map(|(id, key, bytes)| (id, (key, bytes)))
             .unzip();
-        let outcomes = self.service.analyze_batch(&items);
+        // Each report's `--json` bytes are taken on the pool thread that
+        // analyzed it: a disk hit or a recorded miss hands over the
+        // stored bytes, anything else renders there, never under the
+        // state lock.
+        let outcomes = self.service.analyze_batch_map(&items, |_, outcome| {
+            let json = outcome.json();
+            (outcome, json)
+        });
         let mut st = self.state.lock().expect("daemon state");
-        for (id, outcome) in ids.into_iter().zip(outcomes) {
-            self.finish_job(&mut st, id, outcome);
+        for (id, (outcome, json)) in ids.into_iter().zip(outcomes) {
+            self.finish_job(&mut st, id, outcome, json);
         }
         st.inflight = 0;
         self.metrics.gauge("svc.queue.inflight", 0);
         self.finished.notify_all();
     }
 
-    fn finish_job(&self, st: &mut State, id: u64, outcome: crate::service::AppOutcome) {
+    /// Records a finished job. `json` is its report's one-shot `--json`
+    /// bytes ([`crate::AppOutcome::json`]): the daemon's per-app obs is
+    /// always disabled, so they are a pure function of the report.
+    fn finish_job(
+        &self,
+        st: &mut State,
+        id: u64,
+        outcome: crate::service::AppOutcome,
+        json: Option<std::sync::Arc<String>>,
+    ) {
         let Some(job) = st.jobs.get_mut(&id) else {
             return;
         };
         match outcome.report {
             Ok(report) => {
-                // The exact byte surface the one-shot CLI prints under
-                // --json: pretty JSON plus the println! newline. The
-                // daemon's per-app obs is always disabled, so this
-                // rendering is a pure function of the report — which is
-                // what makes memoizing it in the store's render cell
-                // sound. A repeat hit whose cell is already filled
-                // costs an Arc clone here, not a re-encode.
-                let render = || {
-                    let mut text =
-                        serde_json::to_string_pretty(&nchecker::app_report_to_json(&report))
-                            .expect("report serializes");
-                    text.push('\n');
-                    text
-                };
-                let text = match &outcome.rendered {
-                    Some(cell) => cell.get_or_render(render),
-                    None => std::sync::Arc::new(render()),
-                };
                 job.degraded = report.degraded();
                 job.defects = report.defects.len();
-                job.report_json = Some(text);
+                job.report_json = json;
                 job.delta = outcome.delta.map(|d| d.to_json());
                 job.phase = Phase::Done;
                 st.completed += 1;

@@ -9,7 +9,8 @@
 //!   bundle cannot take a run down),
 //! - [`store`] — a sharded, content-addressed analysis cache with an
 //!   in-memory tier (full replay seeds) and an optional on-disk tier
-//!   (durable whole-report entries in the [`wire`] format),
+//!   (durable whole-report entries: the report's `--json` bytes, served
+//!   verbatim on a hit, plus the report in the [`wire`] format),
 //! - [`service`] — the [`service::AnalysisService`] façade gluing pool,
 //!   store, and checker together behind a keyed batch API,
 //! - [`daemon`] + [`protocol`] — the long-running `nchecker serve`
@@ -51,5 +52,5 @@ pub use orchestrator::{vet, OrchestratorOptions, ShardReport, VetOutcome, Worker
 pub use pool::{default_workers, run_pool};
 pub use protocol::{ErrorCode, Request, MAX_REQUEST_LINE};
 pub use service::{AnalysisService, AppOutcome, BatchCacheStats, ServiceOptions};
-pub use store::{AnalysisStore, DiskStats, GcStats, RenderCell};
+pub use store::{render_json, AnalysisStore, DiskEntry, DiskStats, GcStats, RenderCell};
 pub use watch::Watcher;

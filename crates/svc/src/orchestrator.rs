@@ -276,6 +276,14 @@ struct ShardUse {
     reused: usize,
 }
 
+/// One input of a round: its index, the bundle path a worker reads,
+/// and the cache key the worker analyzes it under.
+struct Input<'a> {
+    idx: usize,
+    path: &'a str,
+    key: &'a str,
+}
+
 /// Runs one shard: submits its items through the worker process in
 /// `slot` — reusing it warm when present, spawning it when not —
 /// restarting it (and resubmitting the chunk's unfinished items) on
@@ -287,7 +295,7 @@ fn run_shard(
     cmd: &[String],
     window: usize,
     max_restarts: usize,
-    items: &[(usize, String)],
+    items: &[Input<'_>],
 ) -> (BTreeMap<usize, ItemResult>, ShardUse) {
     let mut results: BTreeMap<usize, ItemResult> = BTreeMap::new();
     let mut usage = ShardUse::default();
@@ -303,9 +311,9 @@ fn run_shard(
                 usage.spawned += 1;
             }
             Err(e) => {
-                for (idx, _) in items {
+                for item in items {
                     results.insert(
-                        *idx,
+                        item.idx,
                         ItemResult::Failed(format!("worker spawn failed: {e}")),
                     );
                 }
@@ -317,9 +325,9 @@ fn run_shard(
     let window = window.max(1);
     let mut chunk_start = 0usize;
     while chunk_start < items.len() {
-        let chunk: Vec<&(usize, String)> = items[chunk_start..]
+        let chunk: Vec<&Input<'_>> = items[chunk_start..]
             .iter()
-            .filter(|(idx, _)| !results.contains_key(idx))
+            .filter(|item| !results.contains_key(&item.idx))
             .take(window)
             .collect();
         if chunk.is_empty() {
@@ -331,7 +339,7 @@ fn run_shard(
             Ok(()) => {
                 // Everything in the chunk resolved (done or failed);
                 // advance past every leading resolved item.
-                while chunk_start < items.len() && results.contains_key(&items[chunk_start].0) {
+                while chunk_start < items.len() && results.contains_key(&items[chunk_start].idx) {
                     chunk_start += 1;
                 }
             }
@@ -342,8 +350,8 @@ fn run_shard(
                 // worker had completed hits the shared disk cache.
                 slot.take().expect("live worker").kill();
                 if usage.restarts >= max_restarts {
-                    for (idx, _) in items {
-                        results.entry(*idx).or_insert_with(|| {
+                    for item in items {
+                        results.entry(item.idx).or_insert_with(|| {
                             ItemResult::Failed(format!(
                                 "worker died ({e}); restart budget ({max_restarts}) exhausted"
                             ))
@@ -358,8 +366,8 @@ fn run_shard(
                         usage.spawned += 1;
                     }
                     Err(spawn_err) => {
-                        for (idx, _) in items {
-                            results.entry(*idx).or_insert_with(|| {
+                        for item in items {
+                            results.entry(item.idx).or_insert_with(|| {
                                 ItemResult::Failed(format!("worker respawn failed: {spawn_err}"))
                             });
                         }
@@ -378,26 +386,26 @@ fn run_shard(
 /// (typed error replies) are recorded and are *not* errors.
 fn run_chunk(
     worker: &mut Worker,
-    chunk: &[&(usize, String)],
+    chunk: &[&Input<'_>],
     results: &mut BTreeMap<usize, ItemResult>,
 ) -> std::io::Result<()> {
     worker.send_all(
         chunk
             .iter()
-            .map(|(_, path)| serde_json::json!({"verb": "submit", "path": path})),
+            .map(|item| serde_json::json!({"verb": "submit", "path": item.path, "key": item.key})),
     )?;
     let mut jobs: Vec<(usize, u64)> = Vec::with_capacity(chunk.len());
-    for (idx, path) in chunk {
+    for &&Input { idx, path, .. } in chunk {
         let reply = worker.recv()?;
         let id = reply["id"].as_i64().and_then(|id| u64::try_from(id).ok());
         match (reply["ok"].as_bool(), id) {
-            (Some(true), Some(id)) => jobs.push((*idx, id)),
+            (Some(true), Some(id)) => jobs.push((idx, id)),
             // An admission reject is a protocol-level surprise (the
             // window is sized to the queue) but not a dead worker.
             _ => match typed_error(&reply) {
                 Some((code, _)) => {
                     results.insert(
-                        *idx,
+                        idx,
                         ItemResult::Failed(format!("{path}: submit rejected: {code}")),
                     );
                 }
@@ -459,15 +467,23 @@ impl WorkerFleet {
         self.slots.iter().flatten().count()
     }
 
-    /// Vets `paths` across the fleet: partitions by key hash, runs
-    /// every shard concurrently (reusing warm workers, spawning cold
-    /// ones), and merges results back into input order.
+    /// Vets `paths` across the fleet, each analyzed under its path as
+    /// the cache key: [`WorkerFleet::vet_keyed`].
     pub fn vet(&mut self, paths: &[String]) -> VetOutcome {
+        self.vet_keyed(paths, paths)
+    }
+
+    /// Vets `paths[i]` under the cache key `keys[i]` across the fleet:
+    /// partitions by key hash, runs every shard concurrently (reusing
+    /// warm workers, spawning cold ones), and merges results back into
+    /// input order. `keys` is as long as `paths`.
+    pub fn vet_keyed(&mut self, paths: &[String], keys: &[String]) -> VetOutcome {
+        assert_eq!(paths.len(), keys.len(), "one cache key per path");
         let options = &self.options;
         let workers = options.workers.max(1);
-        let mut partitions: Vec<Vec<(usize, String)>> = vec![Vec::new(); workers];
-        for (idx, path) in paths.iter().enumerate() {
-            partitions[shard_of(path, workers)].push((idx, path.clone()));
+        let mut partitions: Vec<Vec<Input<'_>>> = (0..workers).map(|_| Vec::new()).collect();
+        for (idx, (path, key)) in paths.iter().zip(keys).enumerate() {
+            partitions[shard_of(key, workers)].push(Input { idx, path, key });
         }
 
         let mut outcome = VetOutcome {
@@ -531,8 +547,11 @@ impl WorkerFleet {
             for (shard, handle) in handles.into_iter().enumerate() {
                 shard_results[shard] = Some(handle.join().unwrap_or_else(|_| {
                     let mut failed = BTreeMap::new();
-                    for (idx, _) in &partitions[shard] {
-                        failed.insert(*idx, ItemResult::Failed("shard thread panicked".to_owned()));
+                    for item in &partitions[shard] {
+                        failed.insert(
+                            item.idx,
+                            ItemResult::Failed("shard thread panicked".to_owned()),
+                        );
                     }
                     (failed, ShardUse::default())
                 }));

@@ -52,6 +52,98 @@ diff -u "$targeted_dir/full.json" "$targeted_dir/targeted.json" \
     || { echo "targeted smoke: reports diverge between modes"; exit 1; }
 echo "targeted smoke ok: 16 apps byte-identical across modes"
 
+echo "==> warm-cache byte identity"
+# After a priming run, every warm surface prints the --no-cache bytes:
+# one-shot --json (the entries' stored bytes), text mode (the decoded
+# reports) and vet (fetch frames), all under the same canonical keys.
+warm_cache="$targeted_dir/warm-cache"
+./target/release/nchecker --json --quiet --cache-dir "$warm_cache" \
+    "$targeted_dir"/app*.apk > /dev/null
+./target/release/nchecker --json --cache-dir "$warm_cache" "$targeted_dir"/app*.apk \
+    > "$targeted_dir/warm.json" 2> "$targeted_dir/warm.err"
+grep -q "cache: 16 hit(s), 0 miss(es)" "$targeted_dir/warm.err" \
+    || { echo "warm identity: the warm run missed"; cat "$targeted_dir/warm.err"; exit 1; }
+cmp "$targeted_dir/full.json" "$targeted_dir/warm.json" \
+    || { echo "warm identity: warm --json differs from --no-cache"; exit 1; }
+./target/release/nchecker --no-cache "$targeted_dir"/app*.apk > "$targeted_dir/text.txt"
+./target/release/nchecker --cache-dir "$warm_cache" "$targeted_dir"/app*.apk \
+    > "$targeted_dir/warm-text.txt"
+# Text mode ends with the cache accounting line; the reports above it
+# must match.
+tail -n 1 "$targeted_dir/warm-text.txt" | grep -q "^cache: 16 hit(s), 0 miss(es)" \
+    || { echo "warm identity: warm text run missed"; exit 1; }
+head -n -1 "$targeted_dir/warm-text.txt" | cmp - "$targeted_dir/text.txt" \
+    || { echo "warm identity: warm text mode differs from --no-cache"; exit 1; }
+./target/release/nchecker vet --workers 2 --quiet --cache-dir "$warm_cache" \
+    "$targeted_dir"/app*.apk > "$targeted_dir/warm-vet.json"
+cmp "$targeted_dir/full.json" "$targeted_dir/warm-vet.json" \
+    || { echo "warm identity: warm vet differs from --no-cache"; exit 1; }
+[ "$(find "$warm_cache" -name '*.json' | wc -l)" -eq 16 ] \
+    || { echo "warm identity: vet wrote entries under new keys"; exit 1; }
+echo "warm identity ok: warm --json, text mode and vet print the --no-cache bytes"
+
+echo "==> damaged cache entries"
+# Damage each of the 16 primed entries in a different way. Every damage
+# is read as a miss (quarantined, except the previous layout and a stale
+# bundle fingerprint, which are plain misses) and re-analyzed, so both
+# one-shot --json and vet still print the --no-cache bytes.
+damage() {
+    python3 - "$warm_cache" <<'PY'
+import json, os, sys
+
+d = sys.argv[1]
+names = sorted(n for n in os.listdir(d) if n.endswith(".json"))
+assert len(names) == 16, names
+for k, name in enumerate(names):
+    path = os.path.join(d, name)
+    data = open(path, "rb").read()
+    head, rest = data.split(b"\n", 1)
+    h = json.loads(head)
+    n = h["json_bytes"]
+    payload, tail = rest[:n], rest[n:]
+
+    def with_head(**fields):
+        return json.dumps(dict(h, **fields)).encode() + b"\n" + payload + tail
+
+    old = {"schema": 1, "bundle_fp": h["bundle_fp"], "config_fp": h["config_fp"],
+           "report": json.loads(tail)}
+    damaged = [
+        b"{schema 2\n" + rest,                          # header not JSON
+        head,                                           # no newline
+        with_head(json_bytes=len(rest) + 1),            # length beyond the file
+        with_head(json_bytes=-1),                       # negative length
+        with_head(json_bytes=2**64 - 1),                # u64::MAX
+        head + b"\n" + payload[:n // 2] + b"\xff" + payload[n // 2 + 1:] + tail,
+        data[:len(head) + 1 + n // 2],                  # truncated mid-payload
+        head + b"\n" + payload + b'{"schema": 1}\n',   # undecodable wire tail
+        b"",                                            # empty file
+        with_head(config_fp="1"),                       # another config's payload
+        with_head(schema=3),                            # unknown layout
+        head + b"\n" + payload,                         # no wire tail
+        with_head(json_bytes=str(n)),                   # length not an integer
+        with_head(bundle_fp="not a number"),            # fingerprint unreadable
+        json.dumps(old).encode(),                       # previous layout: plain miss
+        with_head(bundle_fp="1"),                       # stale version: plain miss
+    ][k]
+    open(path, "wb").write(damaged)
+PY
+}
+damage
+./target/release/nchecker --json --quiet --cache-dir "$warm_cache" "$targeted_dir"/app*.apk \
+    > "$targeted_dir/damaged.json"
+cmp "$targeted_dir/full.json" "$targeted_dir/damaged.json" \
+    || { echo "damaged cache: --json differs from --no-cache"; exit 1; }
+damage
+./target/release/nchecker vet --workers 2 --quiet --cache-dir "$warm_cache" \
+    "$targeted_dir"/app*.apk > "$targeted_dir/damaged-vet.json"
+cmp "$targeted_dir/full.json" "$targeted_dir/damaged-vet.json" \
+    || { echo "damaged cache: vet differs from --no-cache"; exit 1; }
+[ "$(find "$warm_cache" -name '*.quarantine' | wc -l)" -eq 14 ] \
+    || { echo "damaged cache: expected 14 quarantined entries"; ls "$warm_cache"; exit 1; }
+[ "$(find "$warm_cache" -name '*.json' | wc -l)" -eq 16 ] \
+    || { echo "damaged cache: the misses did not rewrite every entry"; exit 1; }
+echo "damaged cache ok: 16 damages read as misses, 14 quarantined, output unchanged"
+
 echo "==> targeted throughput smoke test"
 # Small clean-heavy corpus, both modes, in-bench byte-diff gate; exits
 # non-zero when the modes disagree. Throughput verdicts come from
