@@ -27,7 +27,9 @@ use std::sync::Arc;
 /// Version of the analysis semantics. Bump whenever a checker, the
 /// lifter, the summary engine, or the report format changes meaning, so
 /// persisted cache tiers from older builds miss instead of replaying
-/// stale results.
+/// stale results. A change to how a report is *printed* under `--json`
+/// bumps [`crate::json::RENDER_VERSION`] instead: disk entries store
+/// that text and are checked against it.
 pub const ANALYSIS_VERSION: u32 = 1;
 
 /// Fingerprint of the analysis configuration: every [`CheckerConfig`]

@@ -6,6 +6,17 @@ use crate::report::{DefectKind, Evidence, OverRetryContext, Report};
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
 
+/// Version of the `--json` document: what [`app_report_to_json`]
+/// builds and how the CLI prints it (pretty, plus a trailing newline).
+/// Disk cache entries store that text and serve it verbatim, each under
+/// the version that wrote it; an entry of another version is a miss.
+/// Any change to the printed output — a renamed or added key, a new
+/// stats field, different formatting — must bump this, or warm caches
+/// keep printing the old document. The svc crate's
+/// `render_json_is_pinned_to_the_render_version` test fails until it
+/// is bumped.
+pub const RENDER_VERSION: u32 = 1;
+
 /// A stable machine-readable identifier for a defect kind.
 pub fn kind_id(kind: DefectKind) -> &'static str {
     match kind {
@@ -170,7 +181,8 @@ pub fn metrics_to_json(r: &AppReport) -> Value {
     Value::Object(obj)
 }
 
-/// Serializes a full app report.
+/// Serializes a full app report. A change to the document must bump
+/// [`RENDER_VERSION`].
 ///
 /// The `"metrics"` key appears only when the run recorded a snapshot
 /// (`r.metrics` is set): engine workload numbers are mode- and

@@ -141,6 +141,52 @@ fn memory_and_disk_warm_paths_are_byte_identical_to_cold() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// With both tiers, the bytes a disk write or a disk hit hands back are
+/// the bytes the next memory hit serves: a consumer's `json()` fills the
+/// memory entry's render cell with them (no second render), and a
+/// caller that never asks for JSON leaves the cell empty.
+#[test]
+fn the_first_memory_hit_serves_the_bytes_the_disk_tier_handed_back() {
+    let dir = tmpdir("handback");
+    let items = suite(4, 2016);
+    let cold = cold_renders(&items);
+    let options = || ServiceOptions {
+        cache_dir: Some(dir.clone()),
+        ..ServiceOptions::default()
+    };
+    // Process 1 writes every entry; process 2 reads every one back.
+    for (round, hits) in [("write", 0), ("disk hit", items.len())] {
+        let svc = AnalysisService::new(options(), Obs::disabled());
+        let first = svc.analyze_batch(&items);
+        assert_eq!(AnalysisService::batch_stats(&first).hits, hits);
+        for (o, ((key, bytes), c)) in first.iter().zip(items.iter().zip(&cold)) {
+            let stored = o
+                .stored
+                .as_ref()
+                .expect("the disk tier hands its bytes back");
+            assert_eq!(stored.as_str(), c, "{key}: {round}");
+            let cell = svc
+                .store()
+                .render_cell(key, nck_dex::wire::fnv1a(bytes))
+                .expect("memory entry");
+            assert!(
+                cell.get().is_none(),
+                "{key}: {round}: filled without a consumer"
+            );
+            assert!(std::sync::Arc::ptr_eq(&o.json().unwrap(), stored));
+        }
+        let memory = svc.analyze_batch(&items);
+        for (o, f) in memory.iter().zip(&first) {
+            assert!(o.stored.is_none(), "a memory hit reads no disk");
+            assert!(
+                std::sync::Arc::ptr_eq(&o.json().unwrap(), f.stored.as_ref().unwrap()),
+                "{round}: the first memory hit re-rendered"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn crash_restart_with_unflushed_journal_degrades_to_mtime_without_wrong_evictions() {
     let dir = tmpdir("crash");
